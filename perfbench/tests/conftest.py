@@ -1,0 +1,10 @@
+"""Make the benchmark modules and the checkout's mixcomp importable.
+
+Run from the checkout root:  python3 -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent), str(HERE.parent.parent / "src")]
