@@ -3,7 +3,8 @@
 Commands: analyze, construct, verify, gen, demo. Machine-readable JSON goes
 to --out (stdout by default); the human summary goes to stdout, or to
 stderr when stdout is already carrying JSON. Exit codes: 0 success, 2 bad
-input, 3 cap exceeded, 4 internal invariant violation.
+input, 3 cap exceeded or out of memory, 4 internal invariant violation or
+a failed eigensolve.
 """
 
 from __future__ import annotations
@@ -50,7 +51,11 @@ def _clamp01(p: float) -> float:
 
 
 def _resolve_tolerances(tol_flag: float | None) -> Tolerances:
-    """Flag beats the MIXCOMP_TOL environment variable beats the default."""
+    """Flag beats the MIXCOMP_TOL environment variable beats the default.
+
+    ``Tolerances.from_global`` rejects a value that is not positive and
+    finite, whichever source it came from.
+    """
     if tol_flag is not None:
         value = tol_flag
     else:
@@ -64,8 +69,6 @@ def _resolve_tolerances(tol_flag: float | None) -> Tolerances:
                 raise InputError(
                     f"{ENV_TOL} must be a number, got {raw!r}"
                 ) from None
-    if not value > 0.0:
-        raise InputError(f"tolerance must be positive, got {value!r}")
     return Tolerances.from_global(value)
 
 
@@ -522,8 +525,14 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory; lower --cap or the tuple size n", file=sys.stderr)
+        return 3
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except np.linalg.LinAlgError as exc:
+        print(f"internal error: linear algebra failed: {exc}", file=sys.stderr)
         return 4
     except MixcompError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .comparison import MeasurementOperator, OperatorKind, Provenance
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .states import CandidateSet, DensityMatrix, candidate_set, from_ensemble
 
 SCHEMA_VERSION = 1
@@ -195,8 +195,16 @@ def load_json(path: str, context: str) -> Any:
 
 
 def dump_json(obj: Any, path: str | None) -> None:
-    """Write to the path, or to stdout when the path is None."""
-    text = json.dumps(obj, indent=2)
+    """Write to the path, or to stdout when the path is None.
+
+    NaN and Infinity are not JSON. Every number written derives from
+    validated finite input, so a non-finite one is a bug and raises
+    InternalCheckError instead of producing a file no strict parser reads.
+    """
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InternalCheckError(f"cannot write strict JSON: {exc}") from exc
     if path is None:
         sys.stdout.write(text + "\n")
     else:

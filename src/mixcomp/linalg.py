@@ -43,8 +43,8 @@ class Tolerances:
         The rank, negativity and probability cutoffs are set to ``tol`` and
         the stricter Hermiticity check to ``tol / 10``.
         """
-        if not (tol > 0.0):
-            raise ShapeError(f"tolerance must be positive, got {tol!r}")
+        if not (tol > 0.0 and np.isfinite(tol)):
+            raise ShapeError(f"tolerance must be positive and finite, got {tol!r}")
         return cls(sym=tol / 10.0, rank=tol, neg=tol, prob=tol)
 
 

@@ -1,9 +1,22 @@
 """Exhaustive verification of measurement operators on the tensor space.
 
-The oracle enumerates every length-n tuple over the candidate indices,
-forms the tensor product state for each, and evaluates the outcome
-probability exactly (up to floating point). Unambiguity and non-triviality
-are then plain scans over the forbidden or allowed tuple class.
+Each scan screens every length-n tuple at once. The operator M is viewed
+as a tensor with one (row, column) index pair per tensor slot, and each
+slot is contracted against the stacked candidate states. After n steps
+the k**n entries are Tr(M rho_t1 x ... x rho_tn) in lexicographic tuple
+order. Unambiguity and non-triviality are then a masked max over that
+vector: the IDENTICAL class, the DIFFERENT class, and its pairwise-distinct
+subset.
+
+Only the few tuples that can win are then evaluated one by one with
+``outcome_probability``, which forms the product state explicitly. These
+are the tuples whose screened value lies within a round-off window of the
+class maximum. Among them the first strict maximum in lexicographic order
+is reported, so every reported value above ``tol.prob`` and its tuple are
+exactly what a full per-tuple scan gives. When the whole class is below
+``tol.prob`` by more than the window, it is round-off. The screened
+argmax is then reported with its screened value: the lexicographically
+first tuple among equal screened values.
 """
 
 from __future__ import annotations
@@ -133,6 +146,104 @@ def _check_scan_inputs(m: MeasurementOperator, cs: CandidateSet, n: int, cap: in
         raise CapExceededError(cs.dim, n, cap)
 
 
+def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
+    """Tr(M rho_t) for all k**n tuples t, as a real vector in lexicographic order.
+
+    M[I, J] is reshaped to (d,)*2n and its axes interleaved to
+    (i1 j1, ..., in jn), so each slot is one axis of length d*d. Contracting
+    a slot against S[a, i*d + j] = rho_a[j, i] replaces it by a candidate
+    axis of length k, leading slot first. The leading candidates go in
+    chunks sized so that the interleaved copy of M, the result vector and
+    two consecutive intermediates of a chunk fit in two D x D arrays, as
+    much as the per-tuple product state and trace hold. When k > d*d the
+    k**n results alone can outgrow M; chunks then shrink to one candidate,
+    whose intermediates stay smaller than the result vector.
+    """
+    d, k, n = cs.dim, cs.k, m.n
+    dd = d * d
+    s = np.stack([cs.matrix(a).T.reshape(dd) for a in range(k)])
+    order = [ax for slot in range(n) for ax in (slot, n + slot)]
+    mt = m.matrix.reshape((d,) * (2 * n)).transpose(order).reshape(dd, -1)
+    # complex entries per leading candidate after slots 1..n
+    sizes = [k ** (slot - 1) * dd ** (n - slot) for slot in range(1, n + 1)]
+    peak = max(a + b for a, b in zip([0] + sizes, sizes))
+    budget = dd ** n - k ** n // 2
+    chunk = max(1, min(k, budget // peak))
+    out = np.empty(k ** n)
+    block = k ** (n - 1)
+    for a0 in range(0, k, chunk):
+        t = s[a0:a0 + chunk] @ mt
+        for _ in range(n - 1):
+            rows, rest = t.shape
+            t = np.matmul(s, t.reshape(rows, dd, rest // dd)).reshape(rows * k, rest // dd)
+        out[a0 * block:a0 * block + len(t)] = t[:, 0].real
+    return out
+
+
+def _class_mask(k: int, n: int, kind: TupleKind) -> np.ndarray:
+    """The tuples of one class; the k IDENTICAL ones sit at a*(k**n - 1)/(k - 1)."""
+    identical = np.zeros(k ** n, dtype=bool)
+    identical[np.arange(k) * ((k ** n - 1) // (k - 1))] = True
+    return identical if kind is TupleKind.IDENTICAL else ~identical
+
+
+def _distinct_mask(k: int, n: int) -> np.ndarray:
+    """Tuples with no repeated index; none exist when n > k."""
+    mask = np.zeros(k ** n, dtype=bool)
+    if n <= k:
+        digits = np.indices((k,) * n, dtype=np.min_scalar_type(k)).reshape(n, -1)
+        mask[:] = True
+        for a, b in itertools.combinations(range(n), 2):
+            mask &= digits[a] != digits[b]
+    return mask
+
+
+def _class_max(
+    m: MeasurementOperator,
+    cs: CandidateSet,
+    probs: np.ndarray,
+    mask: np.ndarray,
+    cap: int,
+    tol: Tolerances,
+) -> tuple[float, tuple[int, ...]] | None:
+    """Largest probability over the masked tuples and the tuple that has it.
+
+    The window ``delta`` exceeds twice the largest difference between the
+    screened and the per-tuple value of one tuple. Both add up the same
+    products M[I, J] rho_t[J, I], each within L*u*sum|M[I, J] rho_t[J, I]|
+    of the exact sum (u = eps/2). L counts the rounding steps: n*(d*d + 3)
+    for the n inner products of length d*d in the contraction, and
+    3n + 2*log2(D) for the product state and numpy's pairwise sum. By
+    Cauchy-Schwarz the sum is at most ||M||_F*||rho_t||_F, and ||rho_t||_F,
+    the product of the states' Frobenius norms, is at most 1 because purity
+    is at most 1. So the two values differ by at most
+    (n*(d*d + 6) + 2*log2(D))*u*||M||_F, which is below 50*eps*||M||_F on
+    small shapes; 1e-12*max(1, ||M||_F) covers it with room to spare unless
+    n*d*d runs into the thousands, where the bound itself sets the window.
+    A tuple screened below top - delta is then strictly below the per-tuple
+    maximum and can neither win nor tie, and when top <= tol.prob - delta
+    every per-tuple value of the class is below tol.prob too.
+    """
+    idx = np.flatnonzero(mask)
+    if idx.size == 0:
+        return None
+    vals = probs[idx]
+    top = float(vals.max())
+    depth = m.n * (cs.dim ** 2 + 6) + 2 * m.n * np.log2(cs.dim)
+    delta = max(1e-12, 2 * depth * np.finfo(float).eps) * max(1.0, float(np.linalg.norm(m.matrix)))
+    shape = (cs.k,) * m.n
+    if top <= tol.prob - delta:
+        winner = idx[int(np.argmax(vals))]
+        return top, tuple(int(i) for i in np.unravel_index(winner, shape))
+    best_p, best_t = -np.inf, ()
+    for i in idx[vals >= top - delta]:
+        tup = classify_tuple(np.unravel_index(i, shape))
+        p = outcome_probability(m, tup, cs, cap)
+        if p > best_p:
+            best_p, best_t = p, tup.indices
+    return best_p, best_t
+
+
 def verify_unambiguous(
     m: MeasurementOperator,
     forbidden: TupleKind,
@@ -143,21 +254,16 @@ def verify_unambiguous(
 ) -> UnambiguityResult:
     """Certify that the operator never fires on the forbidden tuple class.
 
-    Scans every tuple of the forbidden kind and reports the largest
-    probability found with its tuple (lexicographically first among ties).
+    Reports the largest probability over every tuple of the forbidden kind
+    with its tuple (lexicographically first among ties; see the module
+    docstring for ties at round-off level).
     """
     t = tol or Tolerances()
     n = m.n if n is None else n
     _check_scan_inputs(m, cs, n, cap)
-    forbidden = TupleKind(forbidden)
-    worst_p = -np.inf
-    worst_t: tuple[int, ...] = ()
-    for tup in enumerate_tuples(cs.k, n, forbidden):
-        p = outcome_probability(m, tup, cs, cap)
-        if p > worst_p:
-            worst_p, worst_t = p, tup.indices
-    if not worst_t:
-        worst_p = 0.0
+    mask = _class_mask(cs.k, n, TupleKind(forbidden))
+    worst = _class_max(m, cs, _probabilities(m, cs), mask, cap, t)
+    worst_p, worst_t = worst if worst is not None else (0.0, ())
     return UnambiguityResult(ok=worst_p <= t.prob, worst_probability=float(worst_p),
                              worst_tuple=worst_t)
 
@@ -174,19 +280,12 @@ def verify_nontrivial(
     t = tol or Tolerances()
     n = m.n if n is None else n
     _check_scan_inputs(m, cs, n, cap)
-    allowed = TupleKind(allowed)
-    best_p = -np.inf
-    best_t: tuple[int, ...] = ()
-    best_dp: float | None = None
-    best_dt: tuple[int, ...] | None = None
-    for tup in enumerate_tuples(cs.k, n, allowed):
-        p = outcome_probability(m, tup, cs, cap)
-        if p > best_p:
-            best_p, best_t = p, tup.indices
-        if tup.pairwise_distinct and (best_dp is None or p > best_dp):
-            best_dp, best_dt = p, tup.indices
-    if not best_t:
-        best_p = 0.0
+    mask = _class_mask(cs.k, n, TupleKind(allowed))
+    probs = _probabilities(m, cs)
+    best = _class_max(m, cs, probs, mask, cap, t)
+    best_p, best_t = best if best is not None else (0.0, ())
+    best_d = _class_max(m, cs, probs, mask & _distinct_mask(cs.k, n), cap, t)
+    best_dp, best_dt = best_d if best_d is not None else (None, None)
     return NontrivialityResult(
         ok=best_p > t.prob,
         best_probability=float(best_p),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mixcomp import io
+from mixcomp import cli, io
 from mixcomp.cli import analyze_set, format_summary, main
 from mixcomp.linalg import Tolerances
 from mixcomp.states import demo_set
@@ -112,6 +112,25 @@ class TestToleranceResolution:
         path = write_demo(tmp_path, "orth2")
         code, _, _ = run(capsys, "analyze", path, "--n", "2", "--tol", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_tol_flag_exits_2(self, tmp_path, capsys, bad):
+        path = write_demo(tmp_path, "orth2")
+        out_path = tmp_path / "report.json"
+        code, _, err = run(capsys, "analyze", path, "--n", "2", f"--tol={bad}",
+                           "--out", str(out_path))
+        assert code == 2
+        assert "finite" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("bad", ["inf", "nan"])
+    def test_non_finite_env_var_exits_2(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setenv("MIXCOMP_TOL", bad)
+        path = write_demo(tmp_path, "orth2")
+        code, out, err = run(capsys, "analyze", path, "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 class TestConstruct:
@@ -292,3 +311,28 @@ class TestRoundTrip:
         cs = demo_set("eq26")
         rep = analyze_set(cs, 3, Tolerances(), 4096)
         assert format_summary(rep) == format_summary(json.loads(json.dumps(rep)))
+
+
+class TestEscapingErrors:
+    """Failures outside the library's own exceptions still end in an exit code."""
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "build_maximal", exhausted)
+        path = write_demo(tmp_path, "orth2")
+        code, _, err = run(capsys, "analyze", path, "--n", "2")
+        assert code == 3
+        assert err.strip() == "error: out of memory; lower --cap or the tuple size n"
+
+    def test_linalg_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "verify_unambiguous", diverged)
+        path = write_demo(tmp_path, "orth2")
+        code, _, err = run(capsys, "analyze", path, "--n", "2")
+        assert code == 4
+        assert len(err.strip().splitlines()) == 1
+        assert "did not converge" in err

@@ -5,7 +5,7 @@ import pytest
 
 from mixcomp import io
 from mixcomp.comparison import OperatorKind, Provenance, build_m2_pair
-from mixcomp.errors import InputError
+from mixcomp.errors import InputError, InternalCheckError
 from mixcomp.states import demo_set, random_density, candidate_set
 
 
@@ -150,3 +150,10 @@ class TestFileHelpers:
         io.dump_json({"x": 1}, None)
         out = capsys.readouterr().out
         assert json.loads(out) == {"x": 1}
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_number_refused_and_nothing_written(self, tmp_path, bad):
+        path = tmp_path / "report.json"
+        with pytest.raises(InternalCheckError):
+            io.dump_json({"p": bad}, str(path))
+        assert not path.exists()

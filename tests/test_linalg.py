@@ -50,6 +50,11 @@ class TestTolerances:
         with pytest.raises(ShapeError):
             Tolerances.from_global(-1e-9)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_from_global_rejects_non_finite(self, bad):
+        with pytest.raises(ShapeError):
+            Tolerances.from_global(bad)
+
 
 class TestKron:
     def test_known_values(self):

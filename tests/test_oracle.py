@@ -1,10 +1,15 @@
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import diagonal_set, gaussian_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcomp import io, oracle
+from mixcomp.cli import main
 from mixcomp.comparison import (
     MeasurementOperator,
     OperatorKind,
@@ -12,10 +17,11 @@ from mixcomp.comparison import (
     assemble_povm,
     build_m1,
     build_m2_pair,
+    build_m2_product,
     build_maximal,
 )
 from mixcomp.errors import CapExceededError, ShapeError
-from mixcomp.linalg import kron_all
+from mixcomp.linalg import Tolerances, kron_all
 from mixcomp.oracle import (
     TupleClass,
     TupleKind,
@@ -231,3 +237,185 @@ class TestPovmCompleteness:
             state = kron_all([ORTH2.matrix(i) for i in t.indices])
             total = sum(np.trace(part @ state).real for part in pv)
             assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------ screened scan vs. tuple loop
+
+def loop_max(m, cs, tuples):
+    """The per-tuple scan: first strict maximum in lexicographic order."""
+    best_p, best_t = None, None
+    for tup in tuples:
+        p = outcome_probability(m, tup, cs)
+        if best_p is None or p > best_p:
+            best_p, best_t = p, tup.indices
+    return best_p, best_t
+
+
+def loop_unambiguous(m, forbidden, cs, tol):
+    worst_p, worst_t = loop_max(m, cs, enumerate_tuples(cs.k, m.n, forbidden))
+    if worst_t is None:
+        worst_p, worst_t = 0.0, ()
+    return worst_p <= tol.prob, worst_p, worst_t
+
+
+def loop_nontrivial(m, allowed, cs, tol):
+    tuples = list(enumerate_tuples(cs.k, m.n, allowed))
+    best_p, best_t = loop_max(m, cs, tuples)
+    if best_t is None:
+        best_p, best_t = 0.0, ()
+    best_dp, best_dt = loop_max(m, cs, [t for t in tuples if t.pairwise_distinct])
+    return best_p > tol.prob, best_p, best_t, best_dp, best_dt
+
+
+def assert_same_max(got_p, got_t, ref_p, ref_t, cs, n, kind, distinct, tol):
+    """Exact above tol.prob; at round-off, close and inside the class."""
+    if ref_t is None:
+        assert got_p is None and got_t is None
+        return
+    if ref_p > tol.prob:
+        assert (got_p, got_t) == (ref_p, ref_t)
+        return
+    assert got_p == pytest.approx(ref_p, abs=1e-12)
+    cls = classify_tuple(got_t) if got_t else None
+    if cls is None:
+        assert ref_t == ()
+        return
+    assert len(got_t) == n and max(got_t) < cs.k
+    assert cls.kind is kind and (cls.pairwise_distinct or not distinct)
+
+
+def assert_scans_agree(m, cs, tol=None):
+    tol = tol or Tolerances()
+    for kind in TupleKind:
+        ref = loop_unambiguous(m, kind, cs, tol)
+        got = verify_unambiguous(m, kind, cs, tol=tol)
+        assert got.ok == ref[0]
+        assert_same_max(got.worst_probability, got.worst_tuple, ref[1], ref[2],
+                        cs, m.n, kind, False, tol)
+        ref = loop_nontrivial(m, kind, cs, tol)
+        got = verify_nontrivial(m, kind, cs, tol=tol)
+        assert got.ok == ref[0]
+        assert_same_max(got.best_probability, got.best_tuple, ref[1], ref[2],
+                        cs, m.n, kind, False, tol)
+        assert_same_max(got.best_distinct_probability, got.best_distinct_tuple,
+                        ref[3], ref[4], cs, m.n, kind, True, tol)
+
+
+def random_contraction(dim, seed, scale=1.0):
+    """A random Hermitian 0 <= M <= scale * I, full rank."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a @ a.conj().T
+    return scale * h / np.linalg.eigvalsh(h)[-1]
+
+
+def operators_for(cs, n):
+    ops = [build_maximal(cs, n, kind) for kind in OperatorKind]
+    ops.append(MeasurementOperator(n=n, dim=cs.dim, matrix=random_contraction(cs.dim**n, n),
+                                   provenance=Provenance.M2_MAXIMAL))
+    return ops
+
+
+class TestScreenedScanMatchesTupleLoop:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_eq26_symmetric_ties(self, n):
+        ops = operators_for(EQ26, n)
+        if n >= 3:
+            ops.append(build_m2_product(EQ26, n))
+        if n == 3:
+            ops.append(permutation_projector())
+        for m in ops:
+            assert_scans_agree(m, EQ26)
+
+    @pytest.mark.parametrize("d,k,seed", [(2, 3, 1), (3, 3, 2), (4, 3, 3), (3, 4, 4), (4, 4, 5)])
+    def test_diagonal_sets_exact_ties(self, d, k, seed):
+        cs = diagonal_set(d, k, seed)
+        for n in (2, 3):
+            for m in operators_for(cs, n):
+                assert_scans_agree(m, cs)
+
+    @given(
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_random_sets(self, d, k, n, seed):
+        cs = gaussian_set(d, k, seed)
+        for m in operators_for(cs, n):
+            assert_scans_agree(m, cs)
+
+    def test_chunked_contraction(self):
+        # k > d*d: the leading candidates are contracted in several chunks
+        cs = gaussian_set(2, 5, 11)
+        m = MeasurementOperator(n=3, dim=2, matrix=random_contraction(8, 12),
+                                provenance=Provenance.M2_MAXIMAL)
+        probs = oracle._probabilities(m, cs)
+        loop = [outcome_probability(m, t, cs) for t in enumerate_tuples(5, 3)]
+        assert np.max(np.abs(probs - loop)) <= 1e-14
+        for op in [m] + operators_for(cs, 3):
+            assert_scans_agree(op, cs)
+
+    @pytest.mark.parametrize("d,k,n", [(4, 3, 4), (2, 4, 8), (3, 9, 2)])
+    def test_contraction_memory_within_two_operators(self, d, k, n):
+        # the per-tuple scan holds a product state and a trace temporary
+        cs = gaussian_set(d, k, 61)
+        dim = d**n
+        m = MeasurementOperator(n=n, dim=d, matrix=random_contraction(dim, 62),
+                                provenance=Provenance.M2_MAXIMAL)
+        tracemalloc.start()
+        try:
+            oracle._probabilities(m, cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 16 * dim * dim + 65536
+
+    def test_single_copy_operator(self):
+        cs = gaussian_set(3, 3, 21)
+        m = MeasurementOperator(n=1, dim=3, matrix=random_contraction(3, 22),
+                                provenance=Provenance.M1_MAXIMAL)
+        assert_scans_agree(m, cs)
+        empty = verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        assert (empty.ok, empty.best_probability, empty.best_tuple) == (False, 0.0, ())
+
+    def test_identity_operator_ties_everywhere(self):
+        for cs, n in ((EQ26, 3), (ORTH2, 4), (gaussian_set(2, 4, 31), 3)):
+            assert_scans_agree(identity_operator(n, cs.dim), cs)
+
+    def test_operator_above_unit_norm_through_verify(self, tmp_path, capsys):
+        cs = gaussian_set(3, 3, 41)
+        matrix = random_contraction(27, 42, scale=40.0)
+        m = MeasurementOperator(n=3, dim=3, matrix=matrix, provenance=Provenance.M2_MAXIMAL)
+        assert np.linalg.norm(m.matrix) > np.sqrt(27)
+        assert_scans_agree(m, cs)
+        op_path, set_path = tmp_path / "op.json", tmp_path / "set.json"
+        io.write_operator(m, str(op_path))
+        io.write_candidate_set(cs, str(set_path))
+        assert main(["verify", str(op_path), str(set_path)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        tol = Tolerances()
+        ok, worst_p, worst_t = loop_unambiguous(m, TupleKind.IDENTICAL, cs, tol)
+        assert rep["unambiguous"]["ok"] is ok is False
+        assert rep["unambiguous"]["worst_tuple"] == list(worst_t)
+        ok, best_p, best_t, best_dp, best_dt = loop_nontrivial(m, TupleKind.DIFFERENT, cs, tol)
+        assert rep["nontrivial"]["ok"] is ok is True
+        assert rep["nontrivial"]["best_tuple"] == list(best_t)
+        assert rep["nontrivial"]["best_distinct_tuple"] == list(best_dt)
+
+    def test_confirm_touches_few_tuples(self, monkeypatch):
+        calls = []
+        original = oracle.outcome_probability
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].indices)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "outcome_probability", counted)
+        cs = gaussian_set(2, 3, 51)
+        m = MeasurementOperator(n=5, dim=2, matrix=random_contraction(32, 52),
+                                provenance=Provenance.M2_MAXIMAL)
+        verify_unambiguous(m, TupleKind.IDENTICAL, cs)
+        verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        assert 0 < len(calls) <= 10 < 3**5
