@@ -28,6 +28,7 @@ from .comparison import (
     build_maximal,
     check_conditions,
     reduce_candidates,
+    residuals_ok,
 )
 from .errors import (
     CapExceededError,
@@ -374,7 +375,7 @@ def cmd_verify(args) -> int:
             "psd_violation": res["psd"],
             "above_identity": res["below_identity"],
             "projector_residual": res["projector"],
-            "valid": op.is_valid(tol),
+            "valid": residuals_ok(res, tol),
         },
         "unambiguous": {
             "ok": bool(una.ok),

@@ -6,6 +6,15 @@ versa; the constructors turn witnesses of those conditions into explicit
 projective operators on the n-fold tensor space; the maximal constructors
 build the largest operator compatible with an unambiguity constraint, which
 turns existence questions into rank checks.
+
+A maximal operator is the projector onto the complement of the span of its
+tuple class's product supports. That span is the range of the class's
+generator, Sum_i P_i^(x)n for the identical class and (Sum_i P_i)^(x)n minus
+that sum for the different class. When the class offers at least D = d**n
+product columns, one eigensolve of the generator can prove the span full, and
+the operator is then the zero matrix without a span loop. Otherwise the span
+is still built column by column: replacing it by the generator's kernel would
+move exact ties between tuples, which the oracle's reported tuples depend on.
 """
 
 from __future__ import annotations
@@ -117,12 +126,15 @@ class MeasurementOperator:
         }
 
     def is_valid(self, tol: Tolerances | None = None, require_projector: bool = False) -> bool:
-        t = tol or Tolerances()
-        r = self.residuals()
-        ok = r["hermitian"] <= t.sym and r["psd"] <= t.neg and r["below_identity"] <= t.neg
-        if require_projector:
-            ok = ok and r["projector"] <= t.neg
-        return ok
+        return residuals_ok(self.residuals(), tol or Tolerances(), require_projector)
+
+
+def residuals_ok(r: dict[str, float], tol: Tolerances, require_projector: bool = False) -> bool:
+    """Validity verdict from a ``MeasurementOperator.residuals()`` dict."""
+    ok = r["hermitian"] <= tol.sym and r["psd"] <= tol.neg and r["below_identity"] <= tol.neg
+    if require_projector:
+        ok = ok and r["projector"] <= tol.neg
+    return ok
 
 
 @dataclass(frozen=True)
@@ -242,10 +254,11 @@ def _require_n(n: int, minimum: int = 2) -> None:
 
 
 def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator:
-    if not op.is_valid(tol, require_projector=True):
+    r = op.residuals()
+    if not residuals_ok(r, tol, require_projector=True):
         raise InternalCheckError(
             f"constructed operator {op.provenance.value} failed its own "
-            f"invariants: residuals {op.residuals()}"
+            f"invariants: residuals {r}"
         )
     return op
 
@@ -382,6 +395,56 @@ def _different_tuple_span(k, n, supports, threshold, full_dim):
     return q
 
 
+def _span_certificate(n, supports, which, threshold, full_dim):
+    """Smallest eigenvalue of the class's generator and the cut it must pass.
+
+    The generator is Sum_i P_i^(x)n for the identical class (M2) and
+    (Sum_i P_i)^(x)n - Sum_i P_i^(x)n for the different class (M1); its
+    range is the span of the class's product supports. Returns None without
+    an eigensolve when the class offers fewer than ``full_dim`` product
+    columns, since such a span cannot be full.
+    """
+    ranks = [s.dim for s in supports]
+    identical = sum(r**n for r in ranks)
+    count = identical if which is OperatorKind.M2 else sum(ranks) ** n - identical
+    if count < full_dim:
+        return None
+    projs = [projector(s) for s in supports]
+    total = sum(projs)
+    scale = float(np.linalg.norm(total, 2)) ** n
+    # each += / -= frees its Kronecker power at once: two D x D arrays live
+    if which is OperatorKind.M2:
+        g = kron_all([projs[0]] * n)
+        for p in projs[1:]:
+            g += kron_all([p] * n)
+    else:
+        g = kron_all([total] * n)
+        for p in projs:
+            g -= kron_all([p] * n)
+    lam = float(np.linalg.eigvalsh(g)[0])
+    # The cut is a sufficient condition for the span loop to reach full_dim
+    # columns. G = Sum_c c c^dagger over the class's ``count`` product
+    # columns c. Every column the loop keeps or drops leaves a residual
+    # against its final basis Q of at most threshold + slack, where
+    # slack = 8 D eps covers the two projection sweeps and the rounding of the
+    # Kronecker columns. If the loop ended short of D columns, a unit x
+    # orthogonal to Q would give x^dagger G x = Sum_c |c^dagger x|^2
+    # <= count (threshold + slack)^2, so lambda_min(G) could not exceed that.
+    # The computed lambda differs from lambda_min(G) by the rounding of G
+    # plus that of eigvalsh. With s = ||Sum_i P_i||_2 >= 1, every entry of
+    # P_i, Sum_i P_i and their n-th powers is bounded by 1, s and s^n, so
+    # forming G (P_i = B B^dagger, the sum, n-fold products and k+1
+    # accumulations) errs by at most L eps s^n per entry, with
+    # L = n (k (d + k) + 1) + k n (d + 1) + k (k + 1), and by D L eps s^n in
+    # 2-norm. eigvalsh adds at most 2 D^2 eps ||G||_2 <= 2 D^2 eps s^n.
+    d, k = supports[0].ambient_dim, len(supports)
+    eps = float(np.finfo(np.float64).eps)
+    big_l = n * (k * (d + k) + 1) + k * n * (d + 1) + k * (k + 1)
+    cut = count * (threshold + 8 * full_dim * eps) ** 2
+    cut += (big_l + 2 * full_dim) * full_dim * eps * scale
+    return lam, cut
+
+
 def build_maximal(
     cs: CandidateSet,
     n: int,
@@ -396,6 +459,14 @@ def build_maximal(
     identical-outcome kind, of all non-identical-tuple supports. Every valid
     operator of the class has support inside this projector's range, so the
     class admits a non-trivial member iff the returned operator is non-zero.
+
+    The span is first tested for fullness through its generator (see
+    ``_span_certificate``): when the class offers at least D product columns
+    and the generator's smallest eigenvalue exceeds a proven cut, the span
+    loop would reach D columns, so the zero matrix is returned without it.
+    Otherwise the span is built column by column with modified Gram-Schmidt;
+    that path stays because the generator's kernel, though equal up to
+    round-off, would change which tuples win exact ties in the oracle.
     """
     _require_n(n)
     which = OperatorKind(which)
@@ -403,15 +474,18 @@ def build_maximal(
     _check_cap(cs.dim, n, cap)
     supports = _supports(cs, t)
     full_dim = cs.dim ** n
-    # kron products of orthonormal columns have unit norm, so the MGS drop
-    # threshold is the bare relative tolerance
-    if which is OperatorKind.M2:
-        q = _identical_tuple_span(n, supports, t.rank, full_dim)
-        prov = Provenance.M2_MAXIMAL
+    prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
+    cert = _span_certificate(n, supports, which, t.rank, full_dim)
+    if cert is not None and cert[0] > cert[1]:
+        matrix = np.zeros((full_dim, full_dim))
     else:
-        q = _different_tuple_span(cs.k, n, supports, t.rank, full_dim)
-        prov = Provenance.M1_MAXIMAL
-    matrix = projector(complement(Subspace(full_dim, q)))
+        # kron products of orthonormal columns have unit norm, so the MGS
+        # drop threshold is the bare relative tolerance
+        if which is OperatorKind.M2:
+            q = _identical_tuple_span(n, supports, t.rank, full_dim)
+        else:
+            q = _different_tuple_span(cs.k, n, supports, t.rank, full_dim)
+        matrix = projector(complement(Subspace(full_dim, q)))
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
     return _self_check(op, t)
 

@@ -76,6 +76,24 @@ def mixed_injected_set(d: int, k: int, seed: int) -> CandidateSet:
     return candidate_set(states)
 
 
+def near_degenerate_set(d: int, k: int, rank: int, theta: float, seed: int) -> CandidateSet:
+    """k Gaussian states of one rank < d; state 1's support sits at angle theta to state 0's.
+
+    State 1 takes state 0's support with one basis vector turned by theta
+    toward the complement, and its own random spectrum, so the two stay far
+    from a numerical duplicate even when theta is far below that threshold.
+    """
+    rng = np.random.default_rng(seed)
+    states = [random_density(d, rank, int(rng.integers(0, 2**31))) for _ in range(k)]
+    _, v = np.linalg.eigh(states[0].matrix)
+    basis = v[:, d - rank:].copy()
+    basis[:, 0] = np.cos(theta) * basis[:, 0] + np.sin(theta) * v[:, 0]
+    weights = rng.uniform(0.2, 1.0, size=rank)
+    m = (basis * (weights / weights.sum())) @ np.conj(basis.T)
+    states[1] = validate_density(m)
+    return candidate_set(states)
+
+
 def build_corpus() -> list[tuple[str, CandidateSet, bool]]:
     """(name, set, contains_maximally_mixed) triples, >= 200 sets."""
     entries = []

@@ -5,6 +5,7 @@ import pytest
 
 from mixcomp import cli, io
 from mixcomp.cli import analyze_set, format_summary, main
+from mixcomp.comparison import MeasurementOperator
 from mixcomp.linalg import Tolerances
 from mixcomp.states import demo_set
 
@@ -219,6 +220,24 @@ class TestVerify:
         rep = json.loads(out)
         assert rep["invariants"]["valid"] is False
         assert rep["invariants"]["above_identity"] == pytest.approx(2.0)
+
+    def test_residuals_computed_once(self, tmp_path, capsys, monkeypatch):
+        set_path = write_demo(tmp_path, "eq26")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "3", "--operator", "m2",
+            "--method", "eq27", "--out", str(op_path))
+        calls = []
+        residuals = MeasurementOperator.residuals
+
+        def counted(self):
+            calls.append(self.provenance)
+            return residuals(self)
+
+        monkeypatch.setattr(MeasurementOperator, "residuals", counted)
+        code, out, _ = run(capsys, "verify", str(op_path), set_path)
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["invariants"]["valid"] is True
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         orth2 = write_demo(tmp_path, "orth2")
