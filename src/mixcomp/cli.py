@@ -27,7 +27,6 @@ from .comparison import (
     build_m2_product,
     build_maximal,
     check_conditions,
-    reduce_candidates,
     residuals_ok,
 )
 from .errors import (
@@ -73,12 +72,6 @@ def _resolve_tolerances(tol_flag: float | None) -> Tolerances:
     return Tolerances.from_global(value)
 
 
-def _require_n(n: int) -> int:
-    if n is None or n < 2:
-        raise InputError(f"tuple size n must be at least 2, got {n!r}")
-    return n
-
-
 def _forbidden_for(kind: OperatorKind) -> TupleKind:
     return TupleKind.DIFFERENT if kind is OperatorKind.M1 else TupleKind.IDENTICAL
 
@@ -115,6 +108,41 @@ def _scan(op, cs, n, cap, tol):
     return una, nt
 
 
+# Per provenance, in the order analyze builds and reports them: the builder,
+# called as build(cs, n, i0, tol, cap) through this module's names so that a
+# replaced builder is the one called; whether analyze builds it for a given
+# ConditionReport and n; and analyze's message when the oracle rejects an
+# explicit construction. Maximal operators have none: they need only be
+# unambiguous, and whether they are non-trivial is the existence verdict.
+_CONSTRUCTIONS = {
+    Provenance.M1_MAXIMAL: (
+        lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M1, cap=cap, tol=tol),
+        lambda report, n: True,
+        None,
+    ),
+    Provenance.M2_MAXIMAL: (
+        lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M2, cap=cap, tol=tol),
+        lambda report, n: True,
+        None,
+    ),
+    Provenance.M1_EQ13: (
+        lambda cs, n, i0, tol, cap: build_m1(cs, n, i0, tol, cap),
+        lambda report, n: report.m1_condition,
+        "explicit identical-outcome construction failed oracle checks",
+    ),
+    Provenance.M2_PRODUCT_EQ27: (
+        lambda cs, n, i0, tol, cap: build_m2_product(cs, n, tol, cap),
+        lambda report, n: report.m2_necessary and n >= len(report.survivors),
+        "product different-outcome construction failed oracle checks",
+    ),
+    Provenance.M2_PAIR_EQ24: (
+        lambda cs, n, i0, tol, cap: build_m2_pair(cs, n, tol, cap),
+        lambda report, n: report.m2_structural,
+        "pair different-outcome construction failed oracle checks",
+    ),
+}
+
+
 def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     """Full pipeline: conditions, reduction, exact existence, constructions.
 
@@ -124,58 +152,37 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     verdicts must match the theory, again aborting on violation.
     """
     report = check_conditions(cs, tol)
-    survivors = reduce_candidates(cs, tol)
-    r = len(survivors)
+    r = len(report.survivors)
 
     operators = []
     existence = {}
-    for kind in (OperatorKind.M1, OperatorKind.M2):
-        op = build_maximal(cs, n, kind, cap=cap, tol=tol)
+    built: dict[Provenance, MeasurementOperator] = {}
+    for prov, (build, wanted, failure) in _CONSTRUCTIONS.items():
+        if not wanted(report, n):
+            continue
+        op = build(cs, n, None, tol, cap)
         una, nt = _scan(op, cs, n, cap, tol)
-        if not una.ok:
-            raise InternalCheckError(
-                f"maximal {kind.value} operator fired on a forbidden tuple "
-                f"{una.worst_tuple} with probability {una.worst_probability:.3e}"
-            )
+        if failure is None:
+            if not una.ok:
+                raise InternalCheckError(
+                    f"maximal {prov.kind.value} operator fired on a forbidden tuple "
+                    f"{una.worst_tuple} with probability {una.worst_probability:.3e}"
+                )
+            existence[prov.kind.value.lower()] = bool(nt.ok)
+        elif una.ok and nt.ok:
+            built[prov] = op
+        else:
+            raise InternalCheckError(failure)
         operators.append(_operator_entry(op, una, nt, tol))
-        existence[kind.value.lower()] = bool(nt.ok)
-
-    built: dict[str, MeasurementOperator] = {}
-    if report.m1_condition:
-        m1 = build_m1(cs, n, None, tol, cap)
-        una, nt = _scan(m1, cs, n, cap, tol)
-        if not (una.ok and nt.ok):
-            raise InternalCheckError(
-                "explicit identical-outcome construction failed oracle checks"
-            )
-        operators.append(_operator_entry(m1, una, nt, tol))
-        built["m1"] = m1
-    if report.m2_necessary and n >= r:
-        m2p = build_m2_product(cs, n, tol, cap)
-        una, nt = _scan(m2p, cs, n, cap, tol)
-        if not (una.ok and nt.ok):
-            raise InternalCheckError(
-                "product different-outcome construction failed oracle checks"
-            )
-        operators.append(_operator_entry(m2p, una, nt, tol))
-        built["m2"] = m2p
-    if report.m2_structural:
-        m2pair = build_m2_pair(cs, n, tol, cap)
-        una, nt = _scan(m2pair, cs, n, cap, tol)
-        if not (una.ok and nt.ok):
-            raise InternalCheckError(
-                "pair different-outcome construction failed oracle checks"
-            )
-        operators.append(_operator_entry(m2pair, una, nt, tol))
-        built["m2_pair"] = m2pair
 
     povm: dict = {"assembled": False}
-    m2_for_povm = built.get("m2_pair") or built.get("m2")
-    if "m1" in built and m2_for_povm is not None:
-        assembly = assemble_povm(built["m1"], m2_for_povm, tol)
+    m1 = built.get(Provenance.M1_EQ13)
+    m2_for_povm = built.get(Provenance.M2_PAIR_EQ24) or built.get(Provenance.M2_PRODUCT_EQ27)
+    if m1 is not None and m2_for_povm is not None:
+        assembly = assemble_povm(m1, m2_for_povm, tol)
         povm = {
             "assembled": True,
-            "m1_provenance": built["m1"].provenance.value,
+            "m1_provenance": m1.provenance.value,
             "m2_provenance": m2_for_povm.provenance.value,
             "alpha": assembly.alpha,
             "beta": assembly.beta,
@@ -183,7 +190,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
         }
     else:
         missing = []
-        if "m1" not in built:
+        if m1 is None:
             missing.append("no identical-outcome construction")
         if m2_for_povm is None:
             missing.append("no different-outcome construction at this n")
@@ -220,7 +227,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
             ],
         },
         "reduction": {
-            "survivors": list(survivors),
+            "survivors": list(report.survivors),
             "r": r,
             "n_ge_k": n >= cs.k,
             "n_ge_r": n >= r,
@@ -300,9 +307,8 @@ def _summary_stream(out_path: str | None):
 
 def cmd_analyze(args) -> int:
     tol = _resolve_tolerances(args.tol)
-    n = _require_n(args.n)
     cs = io.read_candidate_set(args.input)
-    rep = analyze_set(cs, n, tol, args.cap)
+    rep = analyze_set(cs, args.n, tol, args.cap)
     io.dump_json(rep, args.out)
     print(format_summary(rep), file=_summary_stream(args.out))
     return 0
@@ -319,7 +325,6 @@ _METHODS = {
 
 def cmd_construct(args) -> int:
     tol = _resolve_tolerances(args.tol)
-    n = _require_n(args.n)
     cs = io.read_candidate_set(args.input)
     key = (args.operator, args.method)
     if key not in _METHODS:
@@ -329,17 +334,9 @@ def cmd_construct(args) -> int:
         )
     if args.i0 is not None and key != ("m1", "eq13"):
         raise InputError("--i0 only applies to m1 eq13")
-    prov = _METHODS[key]
-    if prov is Provenance.M1_EQ13:
-        op = build_m1(cs, n, args.i0, tol, args.cap)
-    elif prov is Provenance.M2_PAIR_EQ24:
-        op = build_m2_pair(cs, n, tol, args.cap)
-    elif prov is Provenance.M2_PRODUCT_EQ27:
-        op = build_m2_product(cs, n, tol, args.cap)
-    else:
-        kind = OperatorKind.M1 if args.operator == "m1" else OperatorKind.M2
-        op = build_maximal(cs, n, kind, cap=args.cap, tol=tol)
-    una, nt = _scan(op, cs, n, args.cap, tol)
+    build, _, _ = _CONSTRUCTIONS[_METHODS[key]]
+    op = build(cs, args.n, args.i0, tol, args.cap)
+    una, nt = _scan(op, cs, args.n, args.cap, tol)
     if not una.ok:
         raise InternalCheckError(
             f"constructed operator {op.provenance.value} fired on forbidden tuple "

@@ -1,11 +1,14 @@
 """Feasibility conditions and measurement constructions for state comparison.
 
-Everything here works on supports. The condition checkers ask, for each
-candidate, whether its support escapes the span of the others and vice
-versa; the constructors turn witnesses of those conditions into explicit
-projective operators on the n-fold tensor space; the maximal constructors
-build the largest operator compatible with an unambiguity constraint, which
-turns existence questions into rank checks.
+Everything here works on supports. ``check_conditions`` makes the one
+single-copy geometry pass: each candidate's support, the span of the others,
+and which of them contains which. It memoizes the result on the candidate
+set, per Tolerances, and the conditions, the reduction to survivors and
+every constructor read that report instead of recomputing supports. The
+explicit constructors turn witnesses of the conditions into projective
+operators on the n-fold tensor space; the maximal constructors build the
+largest operator compatible with an unambiguity constraint, which turns
+existence questions into rank checks.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
@@ -20,7 +23,7 @@ move exact ties between tuples, which the oracle's reported tuples depend on.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -62,14 +65,10 @@ class Provenance(str, Enum):
     M1_MAXIMAL = "M1_maximal"
     M2_MAXIMAL = "M2_maximal"
 
-
-_KIND_OF_PROVENANCE = {
-    Provenance.M1_EQ13: OperatorKind.M1,
-    Provenance.M1_MAXIMAL: OperatorKind.M1,
-    Provenance.M2_PRODUCT_EQ27: OperatorKind.M2,
-    Provenance.M2_PAIR_EQ24: OperatorKind.M2,
-    Provenance.M2_MAXIMAL: OperatorKind.M2,
-}
+    @property
+    def kind(self) -> OperatorKind:
+        """The operator kind; every value starts with it."""
+        return OperatorKind(self.value[:2])
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ class MeasurementOperator:
 
     @property
     def kind(self) -> OperatorKind:
-        return _KIND_OF_PROVENANCE[self.provenance]
+        return self.provenance.kind
 
     def rank(self, tol: Tolerances | None = None) -> int:
         t = tol or Tolerances()
@@ -139,11 +138,15 @@ def residuals_ok(r: dict[str, float], tol: Tolerances, require_projector: bool =
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Per-candidate geometry and the overall feasibility verdicts.
+    """The single-copy geometry of a candidate set and the verdicts on it.
 
-    ``escapes_others[i]`` is true when Supp(sigma_i) is not contained in the
-    span of the other supports; ``others_escape[i]`` is true when that span
-    is not contained in Supp(sigma_i). All indices are 0-based.
+    One pass computes ``supports[i]`` = Supp(sigma_i) and ``others[i]``, the
+    span of every other support; ``check_conditions`` keeps the report on the
+    set, so the conditions, the reduction and the constructors share it.
+    ``escapes_others[i]`` is true when Supp(sigma_i) is not contained in
+    ``others[i]``; ``others_escape[i]`` is true when ``others[i]`` is not
+    contained in Supp(sigma_i). ``survivors`` are the candidates left by
+    support-containment reduction. All indices are 0-based.
     """
 
     k: int
@@ -157,45 +160,49 @@ class ConditionReport:
     m2_structural: bool
     structural_witness: int | None
     corollary1: bool
-
-
-def _supports(cs: CandidateSet, tol: Tolerances) -> list[Subspace]:
-    return [support_of(cs.matrix(i), tol.rank, tol.sym) for i in range(cs.k)]
-
-
-def _sum_of_others(supports: list[Subspace], i: int, tol: Tolerances, d: int) -> Subspace:
-    return subspace_sum(
-        [s for j, s in enumerate(supports) if j != i], tol.rank, ambient_dim=d
-    )
+    survivors: tuple[int, ...]
+    supports: tuple[Subspace, ...] = field(repr=False, compare=False)
+    others: tuple[Subspace, ...] = field(repr=False, compare=False)
 
 
 def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
-    """Evaluate all feasibility conditions in one pass.
+    """Evaluate all feasibility conditions in one geometry pass.
 
     The m1 condition asks for some support escaping the span of the others
     (witnesses reported); the m2 necessary condition asks that no single
     support swallow the span of the others; the structural condition is
-    their conjunction, with the smallest escape witness as i0.
+    their conjunction, with the smallest escape witness as i0. The same pass
+    finds the ``reduce_candidates`` survivors.
+
+    The report is memoized on ``cs`` per Tolerances value; the set is
+    frozen, so a kept report never goes stale.
     """
     t = tol or Tolerances()
-    supports = _supports(cs, t)
-    d = cs.dim
-    escapes = []
-    others_escape = []
-    for i in range(cs.k):
-        others = _sum_of_others(supports, i, t, d)
-        escapes.append(not contains(others, supports[i], t.rank))
-        others_escape.append(not contains(supports[i], others, t.rank))
+    if t in cs._conditions:
+        return cs._conditions[t]
+    k, d = cs.k, cs.dim
+    supports = tuple(support_of(cs.matrix(i), t.rank, t.sym) for i in range(k))
+    others = tuple(
+        subspace_sum([s for j, s in enumerate(supports) if j != i], t.rank, ambient_dim=d)
+        for i in range(k)
+    )
+    escapes = tuple(not contains(others[i], supports[i], t.rank) for i in range(k))
+    others_escape = tuple(not contains(supports[i], others[i], t.rank) for i in range(k))
+    inside = [[contains(supports[j], supports[i], t.rank) for j in range(k)] for i in range(k)]
+    survivors = tuple(
+        i for i in range(k)
+        if not any(j != i and inside[i][j] and (not inside[j][i] or j < i) for j in range(k))
+    )
     witnesses = tuple(i for i, e in enumerate(escapes) if e)
     failures = tuple(i for i, e in enumerate(others_escape) if not e)
     m1 = bool(witnesses)
     m2n = not failures
     structural = m1 and m2n
-    return ConditionReport(
-        k=cs.k,
+    report = cs._conditions[t] = ConditionReport(
+        k=k,
         dim=d,
-        escapes_others=tuple(escapes),
-        others_escape=tuple(others_escape),
+        escapes_others=escapes,
+        others_escape=others_escape,
         m1_condition=m1,
         m1_witnesses=witnesses,
         m2_necessary=m2n,
@@ -203,22 +210,11 @@ def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> Conditi
         m2_structural=structural,
         structural_witness=witnesses[0] if structural else None,
         corollary1=m1 and m2n,
+        survivors=survivors,
+        supports=supports,
+        others=others,
     )
-
-
-def check_m1_condition(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
-    """Condition for a non-trivial identical-outcome operator to exist."""
-    return check_conditions(cs, tol)
-
-
-def check_m2_necessary(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
-    """Necessary condition for a non-trivial different-outcome operator."""
-    return check_conditions(cs, tol)
-
-
-def check_m2_structural(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
-    """Sufficient structural condition for the two-slot pair construction."""
-    return check_conditions(cs, tol)
+    return report
 
 
 def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[int, ...]:
@@ -228,19 +224,7 @@ def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[
     support, keeping only the lowest index among candidates with identical
     supports. Survivors' supports are pairwise incomparable.
     """
-    t = tol or Tolerances()
-    supports = _supports(cs, t)
-    k = cs.k
-    inside = [[contains(supports[j], supports[i], t.rank) for j in range(k)] for i in range(k)]
-    survivors = []
-    for i in range(k):
-        dominated = any(
-            j != i and inside[i][j] and (not inside[j][i] or j < i)
-            for j in range(k)
-        )
-        if not dominated:
-            survivors.append(i)
-    return tuple(survivors)
+    return check_conditions(cs, tol).survivors
 
 
 def _check_cap(dim: int, n: int, cap: int) -> None:
@@ -291,8 +275,7 @@ def build_m1(
         raise ConditionNotMetError(
             f"index {i0} is not a witness; witnesses are {list(report.m1_witnesses)}"
         )
-    supports = _supports(cs, t)
-    p = projector(complement(_sum_of_others(supports, i0, t, cs.dim)))
+    p = projector(complement(report.others[i0]))
     matrix = kron_all([p] * n)
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=Provenance.M1_EQ13)
     return _self_check(op, t)
@@ -322,12 +305,10 @@ def build_m2_product(
             f"candidate index {report.m2_failures[0]}; no non-trivial "
             f"different-outcome operator exists"
         )
-    survivors = reduce_candidates(cs, t)
-    r = len(survivors)
+    r = len(report.survivors)
     if n < r:
         raise TupleTooShortError(n, r)
-    supports = _supports(cs, t)
-    factors = [projector(complement(supports[i])) for i in survivors]
+    factors = [projector(complement(report.supports[i])) for i in report.survivors]
     factors.extend([identity(cs.dim)] * (n - r))
     matrix = kron_all(factors)
     op = MeasurementOperator(
@@ -359,9 +340,8 @@ def build_m2_pair(
             "it individually"
         )
     i0 = report.structural_witness
-    supports = _supports(cs, t)
-    first = projector(complement(supports[i0]))
-    second = projector(complement(_sum_of_others(supports, i0, t, cs.dim)))
+    first = projector(complement(report.supports[i0]))
+    second = projector(complement(report.others[i0]))
     factors = [first, second] + [identity(cs.dim)] * (n - 2)
     matrix = kron_all(factors)
     op = MeasurementOperator(
@@ -472,7 +452,7 @@ def build_maximal(
     which = OperatorKind(which)
     t = tol or Tolerances()
     _check_cap(cs.dim, n, cap)
-    supports = _supports(cs, t)
+    supports = check_conditions(cs, t).supports
     full_dim = cs.dim ** n
     prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
     cert = _span_certificate(n, supports, which, t.rank, full_dim)

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import CandidateSetError, NotPSDError, ShapeError, TraceError
-from .linalg import (
-    DEFAULT_TOL_NEG,
-    DEFAULT_TOL_SYM,
-    Tolerances,
-    hermitian_eigen,
-    require_hermitian,
-)
+from .linalg import DEFAULT_TOL_NEG, DEFAULT_TOL_SYM, hermitian_eigen, require_hermitian
 
 TRACE_TOL = 1e-9
 DUPLICATE_TOL = 1e-9
@@ -46,21 +40,13 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def validate_density(matrix, tol: Tolerances | None = None) -> DensityMatrix:
+def validate_density(matrix) -> DensityMatrix:
     """Check the density matrix invariants and return the validated state.
 
     Raises NotHermitianError, NotPSDError or TraceError with the offending
     residual in the message.
     """
-    t = tol or Tolerances()
-    m = require_hermitian(matrix, t.sym, context="density matrix")
-    w, _ = hermitian_eigen(m, t.sym)
-    if float(w[0]) < -t.neg:
-        raise NotPSDError(float(w[0]), t.neg, context="density matrix")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise TraceError(tr, TRACE_TOL, context="density matrix")
-    return DensityMatrix(m)
+    return DensityMatrix(matrix)
 
 
 @dataclass(frozen=True)
@@ -74,6 +60,8 @@ class CandidateSet:
 
     labels: tuple[str, ...]
     states: tuple[DensityMatrix, ...]
+    # comparison.check_conditions' memo: one ConditionReport per Tolerances
+    _conditions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.labels) != len(self.states):

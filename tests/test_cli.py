@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from mixcomp import cli, io
+from mixcomp import cli, comparison, io
 from mixcomp.cli import analyze_set, format_summary, main
-from mixcomp.comparison import MeasurementOperator
+from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator
 from mixcomp.linalg import Tolerances
-from mixcomp.states import demo_set
+from mixcomp.states import candidate_set, demo_set, random_density
 
 
 def run(capsys, *argv):
@@ -75,6 +75,29 @@ class TestAnalyze:
         path = write_demo(tmp_path, "orth2")
         code, _, _ = run(capsys, "analyze", path, "--n", "1")
         assert code == 2
+        code, _, err = run(capsys, "construct", path, "--n", "1", "--operator", "m1",
+                           "--method", "eq13")
+        assert code == 2
+        assert "tuple size n" in err
+
+    def test_supports_computed_once_per_tolerances(self, monkeypatch):
+        cs = candidate_set([random_density(3, 1, seed) for seed in (1, 2, 3)])
+        calls = []
+        support_of = comparison.support_of
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return support_of(*args, **kwargs)
+
+        monkeypatch.setattr(comparison, "support_of", counted)
+        rep = analyze_set(cs, 3, Tolerances(), DEFAULT_CAP)
+        # both maximal operators and all three explicit constructions ran
+        assert len(rep["operators"]) == 5
+        assert len(calls) == 3
+        analyze_set(cs, 3, Tolerances(), DEFAULT_CAP)
+        assert len(calls) == 3
+        analyze_set(cs, 3, Tolerances.from_global(1e-8), DEFAULT_CAP)
+        assert len(calls) == 6
 
     def test_report_fields_echo_inputs(self, tmp_path, capsys):
         path = write_demo(tmp_path, "nested2")

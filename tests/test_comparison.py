@@ -11,9 +11,6 @@ from mixcomp.comparison import (
     build_m2_product,
     build_maximal,
     check_conditions,
-    check_m1_condition,
-    check_m2_necessary,
-    check_m2_structural,
     reduce_candidates,
 )
 from mixcomp.errors import (
@@ -85,12 +82,7 @@ class TestConditionChecks:
         from mixcomp.states import maximally_mixed
 
         cs = candidate_set([maximally_mixed(3), random_density(3, 2, 5)])
-        assert check_m2_necessary(cs).m2_necessary is False
-
-    def test_aliases_return_full_report(self):
-        a = check_m1_condition(ORTH2)
-        b = check_m2_structural(ORTH2)
-        assert a == b == check_conditions(ORTH2)
+        assert check_conditions(cs).m2_necessary is False
 
     def test_corollary1_is_the_conjunction(self):
         for seed in range(30):

@@ -12,7 +12,7 @@ import pytest
 from conftest import near_degenerate_set
 
 from mixcomp import comparison
-from mixcomp.comparison import OperatorKind, build_maximal
+from mixcomp.comparison import OperatorKind, build_maximal, check_conditions
 from mixcomp.linalg import Tolerances
 from mixcomp.states import candidate_set, random_density
 from mixcomp.subspace import Subspace, complement, projector
@@ -26,7 +26,7 @@ THETAS = [10.0**e for e in range(-12, -1)]
 def loop_reference(cs, n, kind):
     """The maximal projector as the span loop alone builds it."""
     t = Tolerances()
-    supports = comparison._supports(cs, t)
+    supports = check_conditions(cs, t).supports
     full_dim = cs.dim**n
     if OperatorKind(kind) is OperatorKind.M2:
         q = _IDENTICAL_SPAN(n, supports, t.rank, full_dim)
