@@ -31,14 +31,12 @@ from .comparison import (
 )
 from .errors import (
     CapExceededError,
-    ConditionNotMetError,
     InputError,
     InternalCheckError,
     MixcompError,
-    TupleTooShortError,
 )
-from .linalg import Tolerances, min_eigenvalue
-from .oracle import TupleKind, verify_nontrivial, verify_unambiguous
+from .linalg import Tolerances
+from .oracle import TUPLE_CLASSES, verify_nontrivial, verify_unambiguous
 from .states import DEMO_NAMES, CandidateSet, demo_set, random_density
 from .states import candidate_set as make_candidate_set
 
@@ -72,23 +70,8 @@ def _resolve_tolerances(tol_flag: float | None) -> Tolerances:
     return Tolerances.from_global(value)
 
 
-def _forbidden_for(kind: OperatorKind) -> TupleKind:
-    return TupleKind.DIFFERENT if kind is OperatorKind.M1 else TupleKind.IDENTICAL
-
-
-def _allowed_for(kind: OperatorKind) -> TupleKind:
-    return TupleKind.IDENTICAL if kind is OperatorKind.M1 else TupleKind.DIFFERENT
-
-
-def _operator_entry(op, una, nt, tol) -> dict:
-    entry = {
-        "provenance": op.provenance.value,
-        "kind": op.kind.value,
-        "rank": op.rank(tol),
-        "unambiguous": bool(una.ok),
-        "worst_forbidden_probability": _clamp01(una.worst_probability),
-        "worst_forbidden_tuple": list(una.worst_tuple),
-        "nontrivial": bool(nt.ok),
+def _best_fields(nt) -> dict:
+    return {
         "best_probability": _clamp01(nt.best_probability),
         "best_tuple": list(nt.best_tuple),
         "best_distinct_probability": (
@@ -99,12 +82,25 @@ def _operator_entry(op, una, nt, tol) -> dict:
             None if nt.best_distinct_tuple is None else list(nt.best_distinct_tuple)
         ),
     }
-    return entry
+
+
+def _operator_entry(op, una, nt, tol) -> dict:
+    return {
+        "provenance": op.provenance.value,
+        "kind": op.kind.value,
+        "rank": op.rank(tol),
+        "unambiguous": bool(una.ok),
+        "worst_forbidden_probability": _clamp01(una.worst_probability),
+        "worst_forbidden_tuple": list(una.worst_tuple),
+        "nontrivial": bool(nt.ok),
+        **_best_fields(nt),
+    }
 
 
 def _scan(op, cs, n, cap, tol):
-    una = verify_unambiguous(op, _forbidden_for(op.kind), cs, n, cap=cap, tol=tol)
-    nt = verify_nontrivial(op, _allowed_for(op.kind), cs, n, cap=cap, tol=tol)
+    forbidden, allowed = TUPLE_CLASSES[op.kind]
+    una = verify_unambiguous(op, forbidden, cs, n, cap=cap, tol=tol)
+    nt = verify_nontrivial(op, allowed, cs, n, cap=cap, tol=tol)
     return una, nt
 
 
@@ -186,7 +182,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
             "m2_provenance": m2_for_povm.provenance.value,
             "alpha": assembly.alpha,
             "beta": assembly.beta,
-            "inconclusive_min_eigenvalue": min_eigenvalue(assembly.inconclusive, tol.sym),
+            "inconclusive_min_eigenvalue": assembly.min_eigenvalue,
         }
     else:
         missing = []
@@ -357,6 +353,7 @@ def cmd_verify(args) -> int:
     op = io.read_operator(args.operator_file)
     cs = io.read_candidate_set(args.set_file)
     una, nt = _scan(op, cs, op.n, args.cap, tol)
+    forbidden, allowed = TUPLE_CLASSES[op.kind]
     res = op.residuals()
     rep = {
         "schema_version": io.SCHEMA_VERSION,
@@ -376,22 +373,14 @@ def cmd_verify(args) -> int:
         },
         "unambiguous": {
             "ok": bool(una.ok),
-            "forbidden": _forbidden_for(op.kind).value,
+            "forbidden": forbidden.value,
             "worst_probability": _clamp01(una.worst_probability),
             "worst_tuple": list(una.worst_tuple),
         },
         "nontrivial": {
             "ok": bool(nt.ok),
-            "allowed": _allowed_for(op.kind).value,
-            "best_probability": _clamp01(nt.best_probability),
-            "best_tuple": list(nt.best_tuple),
-            "best_distinct_probability": (
-                None if nt.best_distinct_probability is None
-                else _clamp01(nt.best_distinct_probability)
-            ),
-            "best_distinct_tuple": (
-                None if nt.best_distinct_tuple is None else list(nt.best_distinct_tuple)
-            ),
+            "allowed": allowed.value,
+            **_best_fields(nt),
         },
     }
     io.dump_json(rep, args.out)
@@ -514,12 +503,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ConditionNotMetError, TupleTooShortError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -532,7 +515,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"internal error: linear algebra failed: {exc}", file=sys.stderr)
         return 4
-    except MixcompError as exc:
+    except MixcompError as exc:  # bad input, an unmet condition, n too short
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

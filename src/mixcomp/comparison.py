@@ -8,7 +8,9 @@ every constructor read that report instead of recomputing supports. The
 explicit constructors turn witnesses of the conditions into projective
 operators on the n-fold tensor space; the maximal constructors build the
 largest operator compatible with an unambiguity constraint, which turns
-existence questions into rank checks.
+existence questions into rank checks. A frozen ``MeasurementOperator``
+memoizes in the same way: its residuals and the one spectrum ``rank``
+counts, and, under the oracle's own key, its probability vector.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
@@ -32,6 +34,7 @@ from .errors import (
     CapExceededError,
     ConditionNotMetError,
     InternalCheckError,
+    NotHermitianError,
     ShapeError,
     TupleTooShortError,
 )
@@ -43,7 +46,6 @@ from .linalg import (
     identity,
     kron_all,
     min_eigenvalue,
-    numerical_rank,
 )
 from .states import CandidateSet
 from .subspace import Subspace, complement, contains, projector, subspace_sum, support_of
@@ -77,13 +79,14 @@ class MeasurementOperator:
 
     ``matrix`` has shape (dim**n, dim**n) and is read-only. The constructors
     in this module always produce projectors; user-supplied operators only
-    need 0 <= M <= I.
+    need 0 <= M <= I. What is derived from the matrix is kept in ``_memo``.
     """
 
     n: int
     dim: int
     matrix: np.ndarray
     provenance: Provenance
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
@@ -102,9 +105,29 @@ class MeasurementOperator:
     def kind(self) -> OperatorKind:
         return self.provenance.kind
 
+    def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
+        """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh."""
+        if "residuals" not in self._memo:
+            m = self.matrix
+            herm = herm_residual(m)
+            sym = (m + dagger(m)) / 2.0
+            w = np.linalg.eigvalsh(sym)
+            self._memo["residuals"] = {
+                "hermitian": herm,
+                "psd": max(0.0, -float(w[0])),
+                "below_identity": max(0.0, float(w[-1]) - 1.0),
+                "projector": float(np.max(np.abs(sym @ sym - sym))),
+            }, w
+        return self._memo["residuals"]
+
     def rank(self, tol: Tolerances | None = None) -> int:
+        """Eigenvalues above tol.rank times the largest; M must be Hermitian."""
         t = tol or Tolerances()
-        return numerical_rank(self.matrix, t.rank, t.sym)
+        r, w = self._spectrum()
+        if r["hermitian"] > t.sym:
+            raise NotHermitianError(r["hermitian"], t.sym)
+        a = np.abs(w)
+        return int(np.sum(a > t.rank * a.max()))
 
     def residuals(self) -> dict[str, float]:
         """Deviation of the operator from its invariants.
@@ -113,16 +136,7 @@ class MeasurementOperator:
         dips below 0; below_identity: same for I - M; projector: max
         |M^2 - M|. All are 0 for an exact projector.
         """
-        m = self.matrix
-        herm = herm_residual(m)
-        sym = (m + dagger(m)) / 2.0
-        w = np.linalg.eigvalsh(sym)
-        return {
-            "hermitian": herm,
-            "psd": max(0.0, -float(w[0])),
-            "below_identity": max(0.0, float(w[-1]) - 1.0),
-            "projector": float(np.max(np.abs(sym @ sym - sym))),
-        }
+        return dict(self._spectrum()[0])
 
     def is_valid(self, tol: Tolerances | None = None, require_projector: bool = False) -> bool:
         return residuals_ok(self.residuals(), tol or Tolerances(), require_projector)
@@ -475,8 +489,9 @@ class PovmAssembly:
     """A completing three-outcome measurement.
 
     conclusive_identical = alpha * M1, conclusive_different = beta * M2, and
-    inconclusive is whatever remains below the identity. Iterating yields
-    the three matrices in that order.
+    inconclusive is whatever remains below the identity; min_eigenvalue is
+    the inconclusive element's lowest eigenvalue. Iterating yields the three
+    matrices in that order.
     """
 
     n: int
@@ -486,6 +501,7 @@ class PovmAssembly:
     inconclusive: np.ndarray
     alpha: float
     beta: float
+    min_eigenvalue: float
 
     def __iter__(self):
         return iter((self.conclusive_identical, self.conclusive_different, self.inconclusive))
@@ -510,16 +526,18 @@ def assemble_povm(
         )
     eye = identity(m1.dim ** m1.n)
     rest = eye - m1.matrix - m2.matrix
-    if min_eigenvalue(rest, t.sym) >= -t.neg:
+    lowest = min_eigenvalue(rest, t.sym)
+    if lowest >= -t.neg:
         alpha = beta = 1.0
     else:
         alpha = beta = 0.5
         rest = eye - 0.5 * m1.matrix - 0.5 * m2.matrix
-    if min_eigenvalue(rest, t.sym) < -t.neg:
-        raise InternalCheckError(
-            "inconclusive operator is not PSD even after halving; "
-            "the conclusive operators violate their invariants"
-        )
+        lowest = min_eigenvalue(rest, t.sym)
+        if lowest < -t.neg:
+            raise InternalCheckError(
+                "inconclusive operator is not PSD even after halving; "
+                "the conclusive operators violate their invariants"
+            )
     return PovmAssembly(
         n=m1.n,
         dim=m1.dim,
@@ -528,4 +546,5 @@ def assemble_povm(
         inconclusive=rest,
         alpha=alpha,
         beta=beta,
+        min_eigenvalue=lowest,
     )

@@ -20,10 +20,6 @@ from .states import CandidateSet, DensityMatrix, candidate_set, from_ensemble
 SCHEMA_VERSION = 1
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def pair_to_complex(entry: Any, context: str) -> complex:
     if (
         not isinstance(entry, (list, tuple))
@@ -31,7 +27,10 @@ def pair_to_complex(entry: Any, context: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         raise InputError(f"{context}: expected a [re, im] number pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise InputError(f"{context}: a number is too large for a double") from None
 
 
 def matrix_to_rows(a: np.ndarray) -> list[list[list[float]]]:
@@ -55,10 +54,6 @@ def rows_to_matrix(rows: Any, context: str) -> np.ndarray:
             )
         out.append([pair_to_complex(e, f"{context}, row {r}") for e in row])
     return np.asarray(out, dtype=np.complex128)
-
-
-def vector_to_entries(v: np.ndarray) -> list[list[float]]:
-    return [complex_to_pair(z) for z in np.asarray(v).reshape(-1)]
 
 
 def entries_to_vector(entries: Any, context: str) -> np.ndarray:
@@ -187,7 +182,7 @@ def load_json(path: str, context: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"{context}: cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, huge ints, deep nesting
         raise InputError(f"{context}: {path} is not valid JSON: {exc}") from exc
 
 

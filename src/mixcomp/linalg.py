@@ -185,11 +185,3 @@ def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
         raise ShapeError(f"trace_product shapes differ: {a.shape} vs {b.shape}")
     return complex(np.sum(a * b.T))
 
-
-def numerical_rank(a, tol_rank: float = DEFAULT_TOL_RANK, tol_sym: float = DEFAULT_TOL_SYM) -> int:
-    """Rank of a Hermitian PSD matrix by relative eigenvalue cutoff."""
-    w, _ = hermitian_eigen(a, tol_sym)
-    top = float(np.max(np.abs(w))) if w.size else 0.0
-    if top == 0.0:
-        return 0
-    return int(np.sum(np.abs(w) > tol_rank * top))

@@ -6,7 +6,8 @@ slot is contracted against the stacked candidate states. After n steps
 the k**n entries are Tr(M rho_t1 x ... x rho_tn) in lexicographic tuple
 order. Unambiguity and non-triviality are then a masked max over that
 vector: the IDENTICAL class, the DIFFERENT class, and its pairwise-distinct
-subset.
+subset. There is one vector per operator and candidate set: it is kept on
+the operator, so both verdicts on the same set read the same vector.
 
 Only the few tuples that can win are then evaluated one by one with
 ``outcome_probability``, which forms the product state explicitly. These
@@ -37,6 +38,13 @@ from .states import CandidateSet
 class TupleKind(str, Enum):
     IDENTICAL = "IDENTICAL"
     DIFFERENT = "DIFFERENT"
+
+
+# per operator kind: the tuple class it must never fire on, and the one it serves
+TUPLE_CLASSES = {
+    OperatorKind.M1: (TupleKind.DIFFERENT, TupleKind.IDENTICAL),
+    OperatorKind.M2: (TupleKind.IDENTICAL, TupleKind.DIFFERENT),
+}
 
 
 @dataclass(frozen=True)
@@ -88,10 +96,6 @@ def enumerate_tuples(k: int, n: int, kind: TupleKind | None = None) -> Iterator[
             yield t
 
 
-def _tuple_state(cs: CandidateSet, t: TupleClass) -> np.ndarray:
-    return kron_all([cs.matrix(i) for i in t.indices])
-
-
 def outcome_probability(
     m: MeasurementOperator,
     t: TupleClass,
@@ -112,7 +116,8 @@ def outcome_probability(
         raise ShapeError(f"tuple {t.indices} has indices outside 0..{cs.k - 1}")
     if cs.dim ** m.n > cap:
         raise CapExceededError(cs.dim, m.n, cap)
-    return float(trace_product(m.matrix, _tuple_state(cs, t)).real)
+    state = kron_all([cs.matrix(i) for i in t.indices])
+    return float(trace_product(m.matrix, state).real)
 
 
 class UnambiguityResult(NamedTuple):
@@ -158,7 +163,13 @@ def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
     much as the per-tuple product state and trace hold. When k > d*d the
     k**n results alone can outgrow M; chunks then shrink to one candidate,
     whose intermediates stay smaller than the result vector.
+
+    The vector is kept read-only on ``m._memo`` with its set, and reused only
+    for that very set object.
     """
+    kept = m._memo.get("probabilities")
+    if kept is not None and kept[0] is cs:
+        return kept[1]
     d, k, n = cs.dim, cs.k, m.n
     dd = d * d
     s = np.stack([cs.matrix(a).T.reshape(dd) for a in range(k)])
@@ -177,6 +188,8 @@ def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
             rows, rest = t.shape
             t = np.matmul(s, t.reshape(rows, dd, rest // dd)).reshape(rows * k, rest // dd)
         out[a0 * block:a0 * block + len(t)] = t[:, 0].real
+    out.setflags(write=False)
+    m._memo["probabilities"] = (cs, out)
     return out
 
 
@@ -311,5 +324,4 @@ def decide_exists(
     t = tol or Tolerances()
     which = OperatorKind(which)
     m = build_maximal(cs, n, which, cap=cap, tol=t)
-    allowed = TupleKind.IDENTICAL if which is OperatorKind.M1 else TupleKind.DIFFERENT
-    return verify_nontrivial(m, allowed, cs, n, cap=cap, tol=t).ok
+    return verify_nontrivial(m, TUPLE_CLASSES[which][1], cs, n, cap=cap, tol=t).ok

@@ -99,6 +99,42 @@ class TestAnalyze:
         analyze_set(cs, 3, Tolerances.from_global(1e-8), DEFAULT_CAP)
         assert len(calls) == 6
 
+    def test_one_eigensolve_per_operator(self, monkeypatch):
+        cs = demo_set("orth2")
+        solves, certificates = [], []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+                solves.append(np.shape(a)[0])
+                return _solve(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        span_certificate = comparison._span_certificate
+
+        def counted(*args):
+            cert = span_certificate(*args)
+            certificates.append(cert is not None)
+            return cert
+
+        monkeypatch.setattr(comparison, "_span_certificate", counted)
+        rep = analyze_set(cs, 2, Tolerances(), DEFAULT_CAP)
+        assert rep["povm"]["assembled"] is True
+        povm_candidates = 1 if rep["povm"]["alpha"] == 1.0 else 2
+        expected = len(rep["operators"]) + povm_candidates + sum(certificates)
+        assert solves.count(cs.dim ** 2) == expected
+
+    @pytest.mark.parametrize("text", [
+        b'{"schema_version": 1, "states": [[[[1' + b"0" * 5000 + b', 0]]]]}',
+        b'{"schema_version": 1, "states": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        b'{"schema_version": 1, "states": "\xff\xfe"}',
+    ], ids=["5001-digit-integer", "deep-nesting", "not-utf8"])
+    def test_unparsable_set_file_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        code, _, err = run(capsys, "analyze", str(bad), "--n", "2")
+        assert code == 2
+        assert "Traceback" not in err
+        assert "is not valid JSON" in err
+
     def test_report_fields_echo_inputs(self, tmp_path, capsys):
         path = write_demo(tmp_path, "nested2")
         code, out, _ = run(capsys, "analyze", path, "--n", "2", "--tol", "1e-8")
@@ -261,6 +297,32 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 1
         assert json.loads(out)["invariants"]["valid"] is True
+
+    def test_non_hermitian_operator_exits_2(self, tmp_path, capsys):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        obj = json.loads(op_path.read_text())
+        obj["matrix"][0][1][0] += 1e-6
+        op_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", str(op_path), set_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: matrix is not Hermitian: ")
+
+    def test_overflowing_entry_exits_2(self, tmp_path, capsys):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        obj = json.loads(op_path.read_text())
+        obj["matrix"][0][0][0] = 10**400
+        op_path.write_text(json.dumps(obj))
+        code, _, err = run(capsys, "verify", str(op_path), set_path)
+        assert code == 2
+        assert "Traceback" not in err
+        assert "too large" in err
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         orth2 = write_demo(tmp_path, "orth2")

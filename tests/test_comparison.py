@@ -19,7 +19,7 @@ from mixcomp.errors import (
     ShapeError,
     TupleTooShortError,
 )
-from mixcomp.linalg import kron, kron_all
+from mixcomp.linalg import kron, kron_all, min_eigenvalue
 from mixcomp.oracle import TupleKind, classify_tuple, outcome_probability, verify_unambiguous
 from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
 
@@ -299,6 +299,7 @@ class TestAssemblePovm:
         pv = assemble_povm(m1, m2)
         assert pv.alpha == 1.0 and pv.beta == 1.0
         assert np.max(np.abs(pv.inconclusive - np.diag([0.0, 1.0, 0.0, 1.0]))) < 1e-12
+        assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
 
     def test_overlapping_ranges_trigger_halving(self):
         cs = c3_pure_pair()
@@ -310,6 +311,7 @@ class TestAssemblePovm:
         pv = assemble_povm(m1, m2)
         assert pv.alpha == 0.5 and pv.beta == 0.5
         assert np.linalg.eigvalsh(pv.inconclusive)[0] >= -1e-9
+        assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
 
     def test_zero_operators_leave_identity(self):
         z1 = MeasurementOperator(n=2, dim=2, matrix=np.zeros((4, 4)), provenance=Provenance.M1_MAXIMAL)

@@ -12,7 +12,7 @@ from mixcomp.states import demo_set, random_density, candidate_set
 class TestComplexEncoding:
     def test_pair_round_trip(self):
         z = complex(0.1, -2.5)
-        assert io.pair_to_complex(io.complex_to_pair(z), "x") == z
+        assert io.pair_to_complex([z.real, z.imag], "x") == z
 
     @pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0], "ab", [True, 0.0], None, [1.0, "x"]])
     def test_bad_pairs_rejected(self, bad):

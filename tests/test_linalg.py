@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcomp.comparison import MeasurementOperator, Provenance
 from mixcomp.errors import NotHermitianError, ShapeError
 from mixcomp.linalg import (
     EigenDecomposition,
@@ -13,7 +14,6 @@ from mixcomp.linalg import (
     kron,
     kron_all,
     min_eigenvalue,
-    numerical_rank,
     orthonormal_columns,
     require_hermitian,
     trace_product,
@@ -186,9 +186,12 @@ class TestPsdAndRank:
         assert min_eigenvalue(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)
 
     def test_numerical_rank_relative_cutoff(self):
-        assert numerical_rank(np.diag([1.0, 1e-6, 0.0])) == 2
-        assert numerical_rank(np.diag([1.0, 1e-12, 0.0])) == 1
-        assert numerical_rank(np.zeros((3, 3))) == 0
+        def rank(diagonal):
+            return MeasurementOperator(1, 3, np.diag(diagonal), Provenance.M1_EQ13).rank()
+
+        assert rank([1.0, 1e-6, 0.0]) == 2
+        assert rank([1.0, 1e-12, 0.0]) == 1
+        assert rank([0.0, 0.0, 0.0]) == 0
 
 
 def test_trace_product_matches_full_product():

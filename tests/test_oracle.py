@@ -206,6 +206,29 @@ class TestVerifyNontrivial:
         assert res.best_distinct_tuple is None
 
 
+class TestProbabilityVectorKept:
+    def test_both_verdicts_read_one_vector_per_set(self, monkeypatch):
+        seen = []
+        class_max = oracle._class_max
+
+        def spy(m, cs, probs, *args):
+            seen.append(probs)
+            return class_max(m, cs, probs, *args)
+
+        monkeypatch.setattr(oracle, "_class_max", spy)
+        cs = demo_set("eq26")
+        m = build_m2_product(cs, 3)
+        verify_unambiguous(m, TupleKind.IDENTICAL, cs)
+        verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        assert len(seen) == 3
+        assert all(p is seen[0] for p in seen)
+        assert not seen[0].flags.writeable
+        # an equal set that is a new object gets its own vector
+        verify_unambiguous(m, TupleKind.IDENTICAL, demo_set("eq26"))
+        assert seen[-1] is not seen[0]
+        assert np.array_equal(seen[-1], seen[0])
+
+
 class TestDecideExists:
     def test_eq26_flip_between_n2_and_n3(self):
         assert decide_exists(EQ26, 2, OperatorKind.M2) is False
