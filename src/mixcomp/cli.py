@@ -352,6 +352,8 @@ def cmd_verify(args) -> int:
     tol = _resolve_tolerances(args.tol)
     op = io.read_operator(args.operator_file)
     cs = io.read_candidate_set(args.set_file)
+    # a non-Hermitian file exits 2 before the scan and the eigensolve are paid
+    op.require_hermitian(tol)
     una, nt = _scan(op, cs, op.n, args.cap, tol)
     forbidden, allowed = TUPLE_CLASSES[op.kind]
     res = op.residuals()

@@ -9,17 +9,27 @@ explicit constructors turn witnesses of the conditions into projective
 operators on the n-fold tensor space; the maximal constructors build the
 largest operator compatible with an unambiguity constraint, which turns
 existence questions into rank checks. A frozen ``MeasurementOperator``
-memoizes in the same way: its residuals and the one spectrum ``rank``
-counts, and, under the oracle's own key, its probability vector.
+memoizes in the same way: its Hermitian residual, the one product S S of its
+Hermitian part S that bounds eps = ||S^2 - S||_F, the residuals and the one
+spectrum of the dense check, and, under the oracle's own key, its
+probability vector.
+
+Every constructed operator is a projector, so its self-check and its rank
+need no eigensolve: eps <= tol.neg puts every eigenvalue within eps of 0 or
+1, and a small enough eps makes the rank the rounded trace. The zero matrix
+needs not even the product. Only when eps proves nothing does the dense
+check run its eigvalsh; ``residuals()``, which ``verify`` reports, stays
+dense.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
 generator, Sum_i P_i^(x)n for the identical class and (Sum_i P_i)^(x)n minus
 that sum for the different class. When the class offers at least D = d**n
-product columns, one eigensolve of the generator can prove the span full, and
-the operator is then the zero matrix without a span loop. Otherwise the span
-is still built column by column: replacing it by the generator's kernel would
-move exact ties between tuples, which the oracle's reported tuples depend on.
+product columns, one Cholesky factorization of the shifted generator can
+prove the span full, and the operator is then the zero matrix without a span
+loop. Otherwise the span is still built column by column: replacing it by
+the generator's kernel would move exact ties between tuples, which the
+oracle's reported tuples depend on.
 """
 
 from __future__ import annotations
@@ -73,6 +83,24 @@ class Provenance(str, Enum):
         return OperatorKind(self.value[:2])
 
 
+def _gamma(k: int) -> float:
+    """Rounding bound of k complex operations: 4 k u / (1 - 4 k u), u = eps/2.
+
+    Higham's gamma_k with u replaced by 4u: a complex product errs by at most
+    sqrt(2) gamma_2 < 4u relative (Higham, Lemma 3.5) and a complex sum by u.
+    """
+    ku = 2 * k * float(np.finfo(np.float64).eps)
+    return ku / (1 - ku)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger)/2, with one D x D allocation."""
+    sym = dagger(m)
+    sym += m
+    sym /= 2.0
+    return sym
+
+
 @dataclass(frozen=True)
 class MeasurementOperator:
     """A conclusive-outcome operator on the n-fold tensor space.
@@ -105,28 +133,104 @@ class MeasurementOperator:
     def kind(self) -> OperatorKind:
         return self.provenance.kind
 
+    def _hermitian(self) -> float:
+        if "hermitian" not in self._memo:
+            self._memo["hermitian"] = herm_residual(self.matrix)
+        return self._memo["hermitian"]
+
+    def require_hermitian(self, tol: Tolerances | None = None) -> None:
+        """Raise NotHermitianError when max |M - M^dagger| exceeds tol.sym."""
+        t = tol or Tolerances()
+        herm = self._hermitian()
+        if herm > t.sym:
+            raise NotHermitianError(herm, t.sym)
+
+    def _projector_bound(self) -> tuple[float, float, float]:
+        """max |S^2 - S|, eps and Re tr S for S = (M + M^dagger)/2, from one product.
+
+        eps bounds |lambda^2 - lambda| for every exact eigenvalue lambda of
+        S: ||S^2 - S||_F is the 2-norm of the vector of lambda^2 - lambda.
+        The computed P = fl(fl(S S) - S) differs from S^2 - S by at most
+        gamma(D) |S||S| from the product and u |P| from the subtraction
+        (``_gamma`` holds the complex-arithmetic constants), and
+        || |S||S| ||_F <= ||S||_F^2 <= ||M||_F^2. ||P||_F and ||M||_F^2 come
+        from inner products of length D^2, each within gamma(D^2 + 2)
+        relative, and the square root adds u. So with eps_hat = fl(||P||_F)
+        and fro2 = fl(||M||_F^2),
+            ||S^2 - S||_F <= (eps_hat + gamma(D) fro2) (1 + 2 gamma(D^2 + 4)),
+        the last factor also covering the few scalar operations that compare
+        eps with its cuts. The zero matrix needs no product: all three are 0.
+        """
+        if "bound" not in self._memo:
+            m = self.matrix
+            if not m.any():
+                self._memo["bound"] = 0.0, 0.0, 0.0
+            else:
+                sym = _hermitian_part(m)
+                p = sym @ sym
+                p -= sym
+                dim = len(m)
+                # M is C-ordered, so vdot reads it in place; S is not
+                fro2 = float(np.vdot(m, m).real)
+                tr = float(np.trace(sym).real)
+                eps = float(np.sqrt(np.vdot(p, p).real)) + _gamma(dim) * fro2
+                eps *= 1 + 2 * _gamma(dim * dim + 4)
+                # S is spent: its real part takes |P| instead of a new array
+                self._memo["bound"] = float(np.max(np.abs(p, out=sym.real))), eps, tr
+        return self._memo["bound"]
+
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
-        """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh."""
+        """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh.
+
+        The zero matrix needs no solve: its spectrum is exact zeros, which
+        is what eigvalsh returns for it, and every residual is 0.
+        """
         if "residuals" not in self._memo:
             m = self.matrix
-            herm = herm_residual(m)
-            sym = (m + dagger(m)) / 2.0
-            w = np.linalg.eigvalsh(sym)
+            herm = self._hermitian()
+            w = np.linalg.eigvalsh(_hermitian_part(m)) if m.any() else np.zeros(len(m))
             self._memo["residuals"] = {
                 "hermitian": herm,
                 "psd": max(0.0, -float(w[0])),
                 "below_identity": max(0.0, float(w[-1]) - 1.0),
-                "projector": float(np.max(np.abs(sym @ sym - sym))),
+                "projector": self._projector_bound()[0],
             }, w
         return self._memo["residuals"]
 
     def rank(self, tol: Tolerances | None = None) -> int:
-        """Eigenvalues above tol.rank times the largest; M must be Hermitian."""
+        """Eigenvalues above tol.rank times the largest; M must be Hermitian.
+
+        A near-projector's rank is read off its trace when ``eps`` proves
+        the count; otherwise, and whenever the spectrum is already kept, it
+        is counted from the one eigvalsh of ``residuals``.
+        """
         t = tol or Tolerances()
-        r, w = self._spectrum()
-        if r["hermitian"] > t.sym:
-            raise NotHermitianError(r["hermitian"], t.sym)
-        a = np.abs(w)
+        self.require_hermitian(t)
+        if "residuals" not in self._memo:
+            # With eps < 1/4, |lambda^2 - lambda| <= eps puts every eigenvalue
+            # within near = (1 - sqrt(1 - 4 eps))/2 of 0 or of 1, written
+            # without cancellation below. Say c of them lie near 1. Then
+            # |tr S - c| <= D near, and fl(tr S) adds at most gamma(D) sum
+            # |S_ii| <= 2 D gamma(D), so round(fl(tr S)) = c once the two stay
+            # below 1/2. For c >= 1 the largest |lambda| lies in
+            # [1 - near, 1 + near]; the c eigenvalues near 1 pass the cut
+            # tol.rank * max |lambda| when tol.rank (1 + near) < 1 - near,
+            # and the others, at most near, stay at or below it when
+            # near < tol.rank (1 - near). The count is then exact for S;
+            # eigvalsh would only approximate the same eigenvalues.
+            _, eps, tr = self._projector_bound()
+            dim = len(self.matrix)
+            if 4 * eps < 1:
+                near = 2 * eps / (1 + np.sqrt(1 - 4 * eps))
+                count = round(tr)
+                if (
+                    count >= 1
+                    and dim * (near + 2 * _gamma(dim)) < 0.5
+                    and near < t.rank * (1 - near)
+                    and t.rank * (1 + near) < 1 - near
+                ):
+                    return count
+        a = np.abs(self._spectrum()[1])
         return int(np.sum(a > t.rank * a.max()))
 
     def residuals(self) -> dict[str, float]:
@@ -252,6 +356,14 @@ def _require_n(n: int, minimum: int = 2) -> None:
 
 
 def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator:
+    """Hermitian within tol.sym and a projector within tol.neg, or InternalCheckError.
+
+    eps <= tol.neg puts every eigenvalue within eps of 0 or 1, which bounds
+    the psd, below_identity and projector residuals by eps: the check then
+    passes without an eigensolve. Otherwise the dense residuals decide.
+    """
+    if op._hermitian() <= tol.sym and op._projector_bound()[1] <= tol.neg:
+        return op
     r = op.residuals()
     if not residuals_ok(r, tol, require_projector=True):
         raise InternalCheckError(
@@ -390,12 +502,14 @@ def _different_tuple_span(k, n, supports, threshold, full_dim):
 
 
 def _span_certificate(n, supports, which, threshold, full_dim):
-    """Smallest eigenvalue of the class's generator and the cut it must pass.
+    """A proven lower bound on the generator's smallest eigenvalue and the cut it must pass.
 
     The generator is Sum_i P_i^(x)n for the identical class (M2) and
     (Sum_i P_i)^(x)n - Sum_i P_i^(x)n for the different class (M1); its
-    range is the span of the class's product supports. Returns None without
-    an eigensolve when the class offers fewer than ``full_dim`` product
+    range is the span of the class's product supports. One Cholesky
+    factorization of G minus a shift on its diagonal proves the bound; when
+    it fails, nothing is proven and the bound is -inf. Returns None without
+    a factorization when the class offers fewer than ``full_dim`` product
     columns, since such a span cannot be full.
     """
     ranks = [s.dim for s in supports]
@@ -415,7 +529,6 @@ def _span_certificate(n, supports, which, threshold, full_dim):
         g = kron_all([total] * n)
         for p in projs:
             g -= kron_all([p] * n)
-    lam = float(np.linalg.eigvalsh(g)[0])
     # The cut is a sufficient condition for the span loop to reach full_dim
     # columns. G = Sum_c c c^dagger over the class's ``count`` product
     # columns c. Every column the loop keeps or drops leaves a residual
@@ -424,19 +537,38 @@ def _span_certificate(n, supports, which, threshold, full_dim):
     # Kronecker columns. If the loop ended short of D columns, a unit x
     # orthogonal to Q would give x^dagger G x = Sum_c |c^dagger x|^2
     # <= count (threshold + slack)^2, so lambda_min(G) could not exceed that.
-    # The computed lambda differs from lambda_min(G) by the rounding of G
-    # plus that of eigvalsh. With s = ||Sum_i P_i||_2 >= 1, every entry of
-    # P_i, Sum_i P_i and their n-th powers is bounded by 1, s and s^n, so
-    # forming G (P_i = B B^dagger, the sum, n-fold products and k+1
-    # accumulations) errs by at most L eps s^n per entry, with
+    # The formed G' differs from G by its rounding. With s = ||Sum_i P_i||_2
+    # >= 1, every entry of P_i, Sum_i P_i and their n-th powers is bounded by
+    # 1, s and s^n, so forming G (P_i = B B^dagger, the sum, n-fold products
+    # and k+1 accumulations) errs by at most L eps s^n per entry, with
     # L = n (k (d + k) + 1) + k n (d + 1) + k (k + 1), and by D L eps s^n in
-    # 2-norm. eigvalsh adds at most 2 D^2 eps ||G||_2 <= 2 D^2 eps s^n.
+    # 2-norm; the cut adds that, so lambda_min(G') > cut proves the loop full.
+    # Cholesky reads one triangle, which is within the same bound of G.
+    #
+    # A = fl(G' - shift I). A Cholesky factorization that runs to completion
+    # gives R^dagger R = A + dA with |dA| <= gamma(D + 1) |R^dagger||R|
+    # (Higham, Thm 10.3), and || |R^dagger||R| ||_2 <= D ||R||_2^2, so
+    # ||dA||_2 <= c ||A||_2 with c = D gamma / (1 - D gamma); the shift's
+    # own rounding adds u ||A||_2. R^dagger R is positive definite, so
+    # lambda_min(G') > shift - err with err = (c + u) ||A||_2. Success needs
+    # a positive first pivot, so shift < G'_00 <= ||G'||_2, and
+    # ||A||_2 <= ||G'||_2 + shift with ||G'||_2 <= s^n (1 + D L eps) since
+    # 0 <= G <= (Sum_i P_i)^(x)n. Taking shift = cut + 2 err and solving for
+    # err, success proves lambda_min(G') > cut + err, strictly above the cut.
     d, k = supports[0].ambient_dim, len(supports)
     eps = float(np.finfo(np.float64).eps)
     big_l = n * (k * (d + k) + 1) + k * n * (d + 1) + k * (k + 1)
-    cut = count * (threshold + 8 * full_dim * eps) ** 2
-    cut += (big_l + 2 * full_dim) * full_dim * eps * scale
-    return lam, cut
+    formed = big_l * full_dim * eps * scale
+    cut = count * (threshold + 8 * full_dim * eps) ** 2 + formed
+    c = full_dim * _gamma(full_dim + 1)
+    c = c / (1 - c) + eps / 2
+    err = c * (scale + formed + cut) / (1 - 2 * c)
+    g.flat[:: full_dim + 1] -= cut + 2 * err
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return -np.inf, cut
+    return cut + err, cut
 
 
 def build_maximal(
@@ -456,8 +588,10 @@ def build_maximal(
 
     The span is first tested for fullness through its generator (see
     ``_span_certificate``): when the class offers at least D product columns
-    and the generator's smallest eigenvalue exceeds a proven cut, the span
-    loop would reach D columns, so the zero matrix is returned without it.
+    and one Cholesky factorization proves the generator's smallest
+    eigenvalue above a cut, the span loop would reach D columns, so the zero
+    matrix is returned without it. A factorization that fails proves
+    nothing and falls through to the loop.
     Otherwise the span is built column by column with modified Gram-Schmidt;
     that path stays because the generator's kernel, though equal up to
     round-off, would change which tuples win exact ties in the oracle.

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -39,8 +40,28 @@ def matrix_to_rows(a: np.ndarray) -> list[list[list[float]]]:
 
 
 def rows_to_matrix(rows: Any, context: str) -> np.ndarray:
+    """A list of rows of [re, im] pairs as a complex matrix.
+
+    One flattening pass checks that every row is a list, every entry a list
+    or tuple and every number an int or a float (not a bool), and numpy
+    converts all numbers at once. Viewed as complex128, the float64 pairs
+    carry the bits of complex(float(re), float(im)), signed zeros included.
+    Input that fails any of this takes the entry-by-entry walk, which
+    accepts what it always accepted and otherwise names the offending row.
+    """
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{context}: matrix must be a non-empty list of rows")
+    if all(isinstance(row, list) for row in rows):
+        entries = list(chain.from_iterable(rows))
+        if set(map(type, entries)) <= {list, tuple} and set(
+            map(type, chain.from_iterable(entries))
+        ) <= {int, float}:
+            try:
+                a = np.array(rows, dtype=np.float64)
+            except (ValueError, OverflowError):  # ragged rows or pairs, a huge integer
+                a = None
+            if a is not None and a.shape == (len(rows), len(rows[0]), 2):
+                return a.view(np.complex128)[..., 0]
     width = None
     out = []
     for r, row in enumerate(rows):

@@ -99,28 +99,49 @@ class TestAnalyze:
         analyze_set(cs, 3, Tolerances.from_global(1e-8), DEFAULT_CAP)
         assert len(calls) == 6
 
-    def test_one_eigensolve_per_operator(self, monkeypatch):
-        cs = demo_set("orth2")
-        solves, certificates = [], []
+    @pytest.mark.parametrize("cs,n,zero", [
+        (demo_set("orth2"), 2, None),
+        # M1 maximal proven zero by the generator, M2 maximal from the span
+        # loop, and the eq27 product built
+        (candidate_set([random_density(3, 1, 1), random_density(3, 2, 12),
+                        random_density(3, 2, 22)]), 3, "M1_maximal"),
+    ], ids=["orth2-povm", "certified-zero"])
+    def test_no_eigensolve_outside_povm(self, monkeypatch, cs, n, zero):
+        solves, certificates, inside = [], [], []
         for name in ("eigh", "eigvalsh"):
             def spy(a, *args, _solve=getattr(np.linalg, name), **kwargs):
-                solves.append(np.shape(a)[0])
+                solves.append((np.shape(a)[0], bool(inside)))
                 return _solve(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, spy)
-        span_certificate = comparison._span_certificate
+        span_certificate, assemble_povm = comparison._span_certificate, cli.assemble_povm
 
         def counted(*args):
             cert = span_certificate(*args)
-            certificates.append(cert is not None)
+            certificates.append(cert is not None and cert[0] > cert[1])
             return cert
 
+        def assemble(*args):
+            inside.append(True)
+            try:
+                return assemble_povm(*args)
+            finally:
+                inside.pop()
+
         monkeypatch.setattr(comparison, "_span_certificate", counted)
-        rep = analyze_set(cs, 2, Tolerances(), DEFAULT_CAP)
-        assert rep["povm"]["assembled"] is True
-        povm_candidates = 1 if rep["povm"]["alpha"] == 1.0 else 2
-        expected = len(rep["operators"]) + povm_candidates + sum(certificates)
-        assert solves.count(cs.dim ** 2) == expected
+        monkeypatch.setattr(cli, "assemble_povm", assemble)
+        rep = analyze_set(cs, n, Tolerances(), DEFAULT_CAP)
+        dim = cs.dim ** n
+        # every operator's self-check and rank come from its eps certificate,
+        # and the generator certificate from a Cholesky factorization
+        assert (dim, False) not in solves
+        if zero is None:
+            assert rep["povm"]["assembled"] is True
+            povm_candidates = 1 if rep["povm"]["alpha"] == 1.0 else 2
+            assert solves.count((dim, True)) == povm_candidates
+        else:
+            assert len(rep["operators"]) == 3 and any(certificates)
+            assert next(op["rank"] for op in rep["operators"] if op["provenance"] == zero) == 0
 
     @pytest.mark.parametrize("text", [
         b'{"schema_version": 1, "states": [[[[1' + b"0" * 5000 + b', 0]]]]}',
@@ -310,6 +331,32 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert err.startswith("error: matrix is not Hermitian: ")
+
+    def test_non_hermitian_operator_exits_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        obj = json.loads(op_path.read_text())
+        obj["matrix"][0][1][0] += 1e-6
+        op_path.write_text(json.dumps(obj))
+        scans, solves = [], []
+        scan, eigvalsh = cli._scan, np.linalg.eigvalsh
+
+        def counted_scan(*args):
+            scans.append(args)
+            return scan(*args)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(args)
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_scan", counted_scan)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
+        code, out, err = run(capsys, "verify", str(op_path), set_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: matrix is not Hermitian: ")
+        assert scans == [] and solves == []
 
     def test_overflowing_entry_exits_2(self, tmp_path, capsys):
         set_path = write_demo(tmp_path, "orth2")

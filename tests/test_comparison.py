@@ -3,6 +3,7 @@ import pytest
 
 from mixcomp.comparison import (
     MeasurementOperator,
+    _self_check,
     OperatorKind,
     Provenance,
     assemble_povm,
@@ -12,14 +13,16 @@ from mixcomp.comparison import (
     build_maximal,
     check_conditions,
     reduce_candidates,
+    residuals_ok,
 )
 from mixcomp.errors import (
     CapExceededError,
     ConditionNotMetError,
+    InternalCheckError,
     ShapeError,
     TupleTooShortError,
 )
-from mixcomp.linalg import kron, kron_all, min_eigenvalue
+from mixcomp.linalg import Tolerances, kron, kron_all, min_eigenvalue
 from mixcomp.oracle import TupleKind, classify_tuple, outcome_probability, verify_unambiguous
 from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
 
@@ -290,6 +293,69 @@ class TestMeasurementOperator:
         m = MeasurementOperator(n=1, dim=2, matrix=np.eye(2), provenance=Provenance.M1_MAXIMAL)
         with pytest.raises(ValueError):
             m.matrix[0, 0] = 3.0
+
+
+def near_projector(eigenvalues, seed=0):
+    """U diag(eigenvalues) U^dagger on C^3 (x) C^3, U a random unitary; exactly Hermitian."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+    m = (u * np.asarray(eigenvalues, dtype=float)) @ u.conj().T
+    return MeasurementOperator(n=2, dim=3, matrix=(m + m.conj().T) / 2,
+                               provenance=Provenance.M1_MAXIMAL)
+
+
+class TestProjectorCertificate:
+    """The eps certificate against the dense eigvalsh path, on both sides of each cut."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    # one eigenvalue moved off {0, 1} by x: just inside, then just outside tol.neg
+    @pytest.mark.parametrize("x,fires", [(0.5e-9, True), (0.9e-9, True), (1.1e-9, False), (2e-9, False)])
+    @pytest.mark.parametrize("side", ["below-zero", "above-one"])
+    def test_self_check_straddling_tol_neg(self, solves, x, fires, side):
+        eigenvalues = [1.0] * 4 + [0.0] * 4 + [-x if side == "below-zero" else 1 + x]
+        t = Tolerances()
+        dense = residuals_ok(near_projector(eigenvalues).residuals(), t, require_projector=True)
+        solves.clear()
+        try:
+            _self_check(near_projector(eigenvalues), t)
+            verdict = True
+        except InternalCheckError:
+            verdict = False
+        assert verdict == dense == (x < 1e-9)
+        assert (solves == []) == fires
+
+    @pytest.mark.parametrize("tol,eigenvalues,fires", [
+        # rank cut near < tol.rank (1 - near): the small eigenvalue x straddles it
+        *[(Tolerances(rank=1e-6), [1.0] * 4 + [0.0] * 4 + [x], x < 1e-6)
+          for x in (0.5e-6, 0.9e-6, 1.1e-6, 2e-6)],
+        # tol.rank (1 + near) < 1 - near: the eigenvalues at 1 straddle the cut
+        *[(Tolerances(rank=r), [1.0] * 4 + [0.0] * 5, r < 1) for r in (0.9, 0.999, 1.0, 1.1)],
+        # D near < 1/2 with D = 9: x straddles 1/18
+        *[(Tolerances(rank=0.3), [1.0] * 4 + [0.0] * 4 + [x], x < 1 / 18)
+          for x in (0.04, 0.05, 0.06, 0.08)],
+        # round(tr) >= 1: a single eigenvalue near 0 or near 1, tr on either side of 1/2
+        *[(Tolerances(rank=0.3), [x] + [0.0] * 8, x > 0.5) for x in (0.03, 0.05, 0.95, 0.97)],
+        # the zero matrix: no product and no eigensolve, rank 0
+        (Tolerances(), [0.0] * 9, False),
+    ])
+    def test_rank_matches_the_dense_count(self, solves, tol, eigenvalues, fires):
+        dense = near_projector(eigenvalues)
+        dense.residuals()
+        expected = dense.rank(tol)
+        solves.clear()
+        assert near_projector(eigenvalues).rank(tol) == expected
+        assert (solves == []) == (fires or not any(eigenvalues))
 
 
 class TestAssemblePovm:

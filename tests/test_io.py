@@ -30,6 +30,56 @@ class TestComplexEncoding:
             io.rows_to_matrix(rows, "m")
         assert "row 1" in str(err.value)
 
+    @staticmethod
+    def entrywise(rows, context):
+        """The per-entry parse: the reference for bits and for messages."""
+        if not isinstance(rows, list) or not rows:
+            raise InputError(f"{context}: matrix must be a non-empty list of rows")
+        out = []
+        for r, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise InputError(f"{context}: row {r} is not a list")
+            if len(row) != len(rows[0]):
+                raise InputError(f"{context}: row {r} has {len(row)} entries, expected {len(rows[0])}")
+            out.append([io.pair_to_complex(e, f"{context}, row {r}") for e in row])
+        return np.asarray(out, dtype=np.complex128)
+
+    @pytest.mark.parametrize("rows", [
+        [[[0.0, -0.0], [-0.0, 0.0]], [[-0.0, -0.0], [5e-324, -1.7976931348623157e308]]],
+        [[[2**53 + 1, -(2**64) - 1]], [[10**300 + 7, 0]]],
+        [[(1, 2.5)]],
+        [[[np.float64(1.0), 2.0]]],
+        [[[float("nan"), 0.0]]],
+        [[]],
+        [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+        [[[1.0, 0.0]], "row"],
+        [[[True, 0.0]]],
+        [[[1.0, "2"]]],
+        [[[1.0, 2.0, 3.0]]],
+        [[[1.0, [2.0]]]],
+        [[{"re": 1.0, "im": 2.0}]],
+        [[[10**400, 0]]],
+        [[[0.5, 0.5]], [[1.0]]],
+    ], ids=lambda rows: repr(rows)[:32])
+    def test_matrix_parse_matches_the_entrywise_walk(self, rows):
+        try:
+            expected = self.entrywise(rows, "m")
+        except InputError as exc:
+            with pytest.raises(InputError) as err:
+                io.rows_to_matrix(rows, "m")
+            assert str(err.value) == str(exc)
+            return
+        got = io.rows_to_matrix(rows, "m")
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    def test_random_matrix_parse_is_bit_exact(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+        m[rng.random(m.shape) < 0.1] = -0.0
+        rows = json.loads(json.dumps(io.matrix_to_rows(m)))
+        assert io.rows_to_matrix(rows, "m").tobytes() == self.entrywise(rows, "m").tobytes()
+
 
 class TestCandidateSetSchema:
     def test_round_trip_demo_set(self):

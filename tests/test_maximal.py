@@ -1,7 +1,7 @@
 """Maximal operators: the generator shortcut against the kept span loop.
 
-``build_maximal`` skips the column-by-column span loop when one eigensolve of
-the class's generator proves the span full. These tests pin that every
+``build_maximal`` skips the column-by-column span loop when one Cholesky
+factorization of the class's shifted generator proves the span full. These tests pin that every
 operator stays bit-identical to the loop's, and that each skip rule skips
 what it claims to.
 """
@@ -11,10 +11,11 @@ import pytest
 
 from conftest import near_degenerate_set
 
-from mixcomp import comparison
+from mixcomp import comparison, io
+from mixcomp.cli import main
 from mixcomp.comparison import OperatorKind, build_maximal, check_conditions
-from mixcomp.linalg import Tolerances
-from mixcomp.states import candidate_set, random_density
+from mixcomp.linalg import Tolerances, kron_all
+from mixcomp.states import candidate_set, random_density, validate_density
 from mixcomp.subspace import Subspace, complement, projector
 
 _IDENTICAL_SPAN = comparison._identical_tuple_span
@@ -137,20 +138,83 @@ def test_short_column_count_skips_the_eigensolve(spy, monkeypatch):
         calls.clear()
         op = build_maximal(cs, 2, kind)
         assert spy["certs"][-1] is None
-        # the only D-sized eigvalsh left is the self-check's residuals()
-        assert calls.count(full_dim) == 1
+        # the self-check is proven by eps, so no D-sized eigvalsh is left
+        assert calls.count(full_dim) == 0
     assert spy["loops"] == 2
     assert np.any(op.matrix)
 
 
-def test_self_check_computes_residuals_once(monkeypatch):
-    calls = []
-    residuals = comparison.MeasurementOperator.residuals
+def test_self_check_needs_no_dense_residuals(monkeypatch):
+    calls, solves = [], []
+    residuals, eigvalsh = comparison.MeasurementOperator.residuals, np.linalg.eigvalsh
 
     def counted(self):
         calls.append(self.provenance)
         return residuals(self)
 
+    def solve(a, *args, **kwargs):
+        solves.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
     monkeypatch.setattr(comparison.MeasurementOperator, "residuals", counted)
-    build_maximal(span_shape_set(), 2, OperatorKind.M2)
-    assert len(calls) == 1
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    # 243 identical-tuple columns < D = 256: a non-zero projector from the loop
+    op = build_maximal(span_shape_set(), 4, OperatorKind.M2)
+    rank = op.rank()
+    assert calls == [] and 256 not in solves
+    # the dense residuals stay public; their spectrum gives the same rank
+    assert op.residuals()["projector"] <= 1e-9
+    assert solves.count(256) == 1
+    assert rank == op.rank() > 0
+
+
+def generator_min(cs, n, kind):
+    """lambda_min of the class's generator, from a dense eigensolve."""
+    projs = [projector(s) for s in check_conditions(cs, Tolerances()).supports]
+    g = sum(kron_all([p] * n) for p in projs)
+    if OperatorKind(kind) is OperatorKind.M1:
+        g = kron_all([sum(projs)] * n) - g
+    return float(np.linalg.eigvalsh(g)[0])
+
+
+def same_support_set():
+    """Three rank-2 states on one plane of C^3: both generators exactly singular."""
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    b = u[:, :2]
+    return candidate_set([validate_density((b * w) @ b.conj().T)
+                          for w in ([0.5, 0.5], [0.3, 0.7], [0.8, 0.2])])
+
+
+def test_cholesky_cut_straddled(spy, tmp_path, capsys):
+    # a near-degenerate triple at n = 2: lambda_min of the M1 generator grows
+    # as theta^2, so theta places it relative to the Cholesky shift
+    def at(theta):
+        return near_degenerate_set(3, 3, 2, theta, 3031)
+
+    build_and_check(spy, at(1e-4), 2, OperatorKind.M1)
+    floor, cut = spy["certs"][-1]
+    # success proves floor = shift - err with shift = cut + 2 err
+    shift = 2 * floor - cut
+    lam = generator_min(at(1e-4), 2, OperatorKind.M1)
+    for factor, fires in ((0.9, False), (0.97, False), (1.03, True), (1.1, True)):
+        cs = at(1e-4 * np.sqrt(factor * shift / lam))
+        assert generator_min(cs, 2, OperatorKind.M1) == pytest.approx(factor * shift, rel=1e-3)
+        assert build_and_check(spy, cs, 2, OperatorKind.M1)[0] == fires
+        path = tmp_path / f"set-{factor}.json"
+        io.write_candidate_set(cs, str(path))
+        assert main(["analyze", str(path), "--n", "2"]) == 0
+        capsys.readouterr()
+
+
+def test_singular_generator_falls_back_to_the_loop(spy, tmp_path, capsys):
+    cs = same_support_set()
+    for kind in OperatorKind:
+        assert generator_min(cs, 2, kind) < 1e-12
+        fired, op = build_and_check(spy, cs, 2, kind)
+        assert spy["certs"][-1] == (-np.inf, spy["certs"][-1][1]) and not fired
+        assert np.any(op.matrix)
+    path = tmp_path / "set.json"
+    io.write_candidate_set(cs, str(path))
+    assert main(["analyze", str(path), "--n", "2"]) == 0
+    capsys.readouterr()
