@@ -310,13 +310,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-_METHODS = {
-    ("m1", "eq13"): Provenance.M1_EQ13,
-    ("m1", "maximal"): Provenance.M1_MAXIMAL,
-    ("m2", "eq24"): Provenance.M2_PAIR_EQ24,
-    ("m2", "eq27"): Provenance.M2_PRODUCT_EQ27,
-    ("m2", "maximal"): Provenance.M2_MAXIMAL,
-}
+# (--operator, --method) per provenance: "M2_product_eq27" is m2 + eq27
+_METHODS = {(p.kind.value.lower(), p.value.rsplit("_", 1)[1]): p for p in Provenance}
 
 
 def cmd_construct(args) -> int:
@@ -326,7 +321,7 @@ def cmd_construct(args) -> int:
     if key not in _METHODS:
         raise InputError(
             f"method {args.method!r} does not build a {args.operator} operator; "
-            f"valid pairs: m1+eq13, m1+maximal, m2+eq24, m2+eq27, m2+maximal"
+            f"valid pairs: {', '.join('+'.join(pair) for pair in sorted(_METHODS))}"
         )
     if args.i0 is not None and key != ("m1", "eq13"):
         raise InputError("--i0 only applies to m1 eq13")

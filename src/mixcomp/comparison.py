@@ -50,8 +50,8 @@ from .errors import (
 )
 from .linalg import (
     Tolerances,
+    _hermitian_part,
     _mgs_extend,
-    dagger,
     herm_residual,
     identity,
     kron_all,
@@ -91,14 +91,6 @@ def _gamma(k: int) -> float:
     """
     ku = 2 * k * float(np.finfo(np.float64).eps)
     return ku / (1 - ku)
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger)/2, with one D x D allocation."""
-    sym = dagger(m)
-    sym += m
-    sym /= 2.0
-    return sym
 
 
 @dataclass(frozen=True)
@@ -242,9 +234,6 @@ class MeasurementOperator:
         """
         return dict(self._spectrum()[0])
 
-    def is_valid(self, tol: Tolerances | None = None, require_projector: bool = False) -> bool:
-        return residuals_ok(self.residuals(), tol or Tolerances(), require_projector)
-
 
 def residuals_ok(r: dict[str, float], tol: Tolerances, require_projector: bool = False) -> bool:
     """Validity verdict from a ``MeasurementOperator.residuals()`` dict."""
@@ -327,7 +316,7 @@ def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> Conditi
         m2_failures=failures,
         m2_structural=structural,
         structural_witness=witnesses[0] if structural else None,
-        corollary1=m1 and m2n,
+        corollary1=structural,
         survivors=survivors,
         supports=supports,
         others=others,
@@ -345,14 +334,16 @@ def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[
     return check_conditions(cs, tol).survivors
 
 
-def _check_cap(dim: int, n: int, cap: int) -> None:
-    if dim ** n > cap:
-        raise CapExceededError(dim, n, cap)
-
-
-def _require_n(n: int, minimum: int = 2) -> None:
-    if not isinstance(n, (int, np.integer)) or n < minimum:
-        raise ShapeError(f"tuple size n must be an integer >= {minimum}, got {n!r}")
+def _prepare(
+    cs: CandidateSet, n: int, tol: Tolerances | None, cap: int
+) -> tuple[Tolerances, ConditionReport]:
+    """Every builder's preamble: n >= 2, then the cap, then the one geometry pass."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ShapeError(f"tuple size n must be an integer >= 2, got {n!r}")
+    if cs.dim ** n > cap:
+        raise CapExceededError(cs.dim, n, cap)
+    t = tol or Tolerances()
+    return t, check_conditions(cs, t)
 
 
 def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator:
@@ -386,10 +377,7 @@ def build_m1(
     except the witness i0's. With i0 = None the smallest witness is used.
     Raises ConditionNotMetError when i0 is not a witness or none exists.
     """
-    _require_n(n)
-    t = tol or Tolerances()
-    _check_cap(cs.dim, n, cap)
-    report = check_conditions(cs, t)
+    t, report = _prepare(cs, n, tol, cap)
     if not report.m1_condition:
         raise ConditionNotMetError(
             "no candidate's support escapes the span of the others; "
@@ -421,10 +409,7 @@ def build_m2_product(
     because any all-identical input meets its own survivor's complement in
     some slot; non-trivial because survivor supports are incomparable.
     """
-    _require_n(n)
-    t = tol or Tolerances()
-    _check_cap(cs.dim, n, cap)
-    report = check_conditions(cs, t)
+    t, report = _prepare(cs, n, tol, cap)
     if not report.m2_necessary:
         raise ConditionNotMetError(
             f"the span of the other supports is contained in the support of "
@@ -455,10 +440,7 @@ def build_m2_pair(
     of the span of the other supports, the rest are identities. Valid for
     every n >= 2 once the structural condition holds at witness i0.
     """
-    _require_n(n)
-    t = tol or Tolerances()
-    _check_cap(cs.dim, n, cap)
-    report = check_conditions(cs, t)
+    t, report = _prepare(cs, n, tol, cap)
     if not report.m2_structural:
         raise ConditionNotMetError(
             "structural condition fails: need every support to escape the "
@@ -476,22 +458,13 @@ def build_m2_pair(
     return _self_check(op, t)
 
 
-def _identical_tuple_span(n, supports, threshold, full_dim):
-    q = np.zeros((full_dim, 0), dtype=np.complex128)
-    for s in supports:
-        if s.dim == 0:
-            continue
-        q = _mgs_extend(q, kron_all([s.basis] * n), threshold)
-        if q.shape[1] == full_dim:
-            break
-    return q
+def _tuple_span(tuples, supports, threshold, full_dim):
+    """Orthonormal basis of the span of the tuples' product supports, in their order.
 
-
-def _different_tuple_span(k, n, supports, threshold, full_dim):
+    Stops early once the basis is full; a tuple with an empty factor adds nothing.
+    """
     q = np.zeros((full_dim, 0), dtype=np.complex128)
-    for combo in itertools.product(range(k), repeat=n):
-        if all(c == combo[0] for c in combo):
-            continue
+    for combo in tuples:
         factors = [supports[c].basis for c in combo]
         if any(f.shape[1] == 0 for f in factors):
             continue
@@ -596,11 +569,9 @@ def build_maximal(
     that path stays because the generator's kernel, though equal up to
     round-off, would change which tuples win exact ties in the oracle.
     """
-    _require_n(n)
     which = OperatorKind(which)
-    t = tol or Tolerances()
-    _check_cap(cs.dim, n, cap)
-    supports = check_conditions(cs, t).supports
+    t, report = _prepare(cs, n, tol, cap)
+    supports = report.supports
     full_dim = cs.dim ** n
     prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
     cert = _span_certificate(n, supports, which, t.rank, full_dim)
@@ -610,9 +581,10 @@ def build_maximal(
         # kron products of orthonormal columns have unit norm, so the MGS
         # drop threshold is the bare relative tolerance
         if which is OperatorKind.M2:
-            q = _identical_tuple_span(n, supports, t.rank, full_dim)
+            tuples = [(i,) * n for i in range(cs.k)]
         else:
-            q = _different_tuple_span(cs.k, n, supports, t.rank, full_dim)
+            tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
+        q = _tuple_span(tuples, supports, t.rank, full_dim)
         matrix = projector(complement(Subspace(full_dim, q)))
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
     return _self_check(op, t)

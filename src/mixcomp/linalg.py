@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,13 +48,6 @@ class Tolerances:
         return cls(sym=tol / 10.0, rank=tol, neg=tol, prob=tol)
 
 
-class EigenDecomposition(NamedTuple):
-    """Eigenvalues (ascending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def as_matrix(values, context: str = "matrix") -> np.ndarray:
     """Coerce to a finite complex128 square matrix."""
     a = np.asarray(values, dtype=np.complex128)
@@ -70,8 +63,22 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def herm_residual(a: np.ndarray) -> float:
-    """max |A - A^dagger| over entries."""
-    return float(np.max(np.abs(a - dagger(a)))) if a.size else 0.0
+    """max |A - A^dagger| over entries, taken over row blocks of about 64k entries.
+
+    The blocks keep the temporaries a few blocks in size instead of three
+    D x D arrays; a matrix of up to 64k entries is one block.
+    """
+    step = max(1, (1 << 16) // max(1, len(a)))
+    return max([float(np.abs(a[i:i + step] - dagger(a[:, i:i + step])).max())
+                for i in range(0, len(a), step)], default=0.0)
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger)/2, with one D x D allocation."""
+    sym = dagger(m)
+    sym += m
+    sym /= 2.0
+    return sym
 
 
 def require_hermitian(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> np.ndarray:
@@ -80,7 +87,7 @@ def require_hermitian(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matri
     res = herm_residual(m)
     if res > tol_sym:
         raise NotHermitianError(res, tol_sym, context)
-    return (m + dagger(m)) / 2.0
+    return _hermitian_part(m)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -95,16 +102,15 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(kron, [np.asarray(f, dtype=np.complex128) for f in factors])
 
 
-def hermitian_eigen(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> EigenDecomposition:
+def hermitian_eigen(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     The input is validated against ``tol_sym`` and symmetrized before the
     solve, so tiny anti-Hermitian noise cannot leak into the spectrum.
-    Eigenvalues are real and ascending.
+    Returns the (w, v) of np.linalg.eigh: real ascending eigenvalues and
+    matching orthonormal eigenvector columns.
     """
-    m = require_hermitian(a, tol_sym, context)
-    w, v = np.linalg.eigh(m)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(require_hermitian(a, tol_sym, context))
 
 
 def _mgs_extend(basis: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
@@ -126,53 +132,25 @@ def _mgs_extend(basis: np.ndarray, cols: np.ndarray, threshold: float) -> np.nda
     return q
 
 
-def orthonormal_columns(
-    vectors,
-    tol_rank: float = DEFAULT_TOL_RANK,
-    *,
-    dim: int | None = None,
-) -> np.ndarray:
-    """Orthonormal basis for the span of the given column vectors.
+def orthonormal_columns(vectors: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+    """Orthonormal basis for the span of the columns of a (d, m) array.
 
-    Accepts a (d, m) array or a sequence of length-d vectors; m = 0 is legal
-    when ``dim`` supplies the ambient dimension. The drop threshold is
-    ``tol_rank`` times the largest input column norm, so the rank decision is
-    scale free.
+    m = 0 is legal. The drop threshold is ``tol_rank`` times the largest
+    input column norm, so the rank decision is scale free.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        cols = vectors.astype(np.complex128, copy=True)
-    else:
-        seq = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
-        if not seq:
-            if dim is None:
-                raise ShapeError("empty input needs an explicit dim")
-            return np.zeros((dim, 0), dtype=np.complex128)
-        cols = np.column_stack(seq)
-    d = cols.shape[0]
-    if dim is not None and dim != d:
-        raise ShapeError(f"vectors live in dimension {d}, expected {dim}")
-    if cols.shape[1] == 0:
-        return np.zeros((d, 0), dtype=np.complex128)
+    cols = np.asarray(vectors, dtype=np.complex128)
+    if cols.ndim != 2:
+        raise ShapeError(f"expected a (d, m) array of columns, got shape {cols.shape}")
     if not np.all(np.isfinite(cols.real)) or not np.all(np.isfinite(cols.imag)):
         raise ShapeError("input vectors contain NaN or Inf entries")
-    scale = float(np.max(np.linalg.norm(cols, axis=0)))
-    if scale == 0.0:
-        return np.zeros((d, 0), dtype=np.complex128)
-    empty = np.zeros((d, 0), dtype=np.complex128)
-    return _mgs_extend(empty, cols, tol_rank * scale)
+    scale = float(np.max(np.linalg.norm(cols, axis=0), initial=0.0))
+    empty = np.zeros((len(cols), 0), dtype=np.complex128)
+    return _mgs_extend(empty, cols, tol_rank * scale) if scale else empty
 
 
 def min_eigenvalue(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> float:
     w, _ = hermitian_eigen(a, tol_sym, context)
     return float(w[0])
-
-
-def is_psd(a, tol_neg: float = DEFAULT_TOL_NEG, tol_sym: float = DEFAULT_TOL_SYM) -> bool:
-    """True when the matrix is Hermitian with spectrum above -tol_neg."""
-    try:
-        return min_eigenvalue(a, tol_sym) >= -tol_neg
-    except NotHermitianError:
-        return False
 
 
 def identity(d: int) -> np.ndarray:

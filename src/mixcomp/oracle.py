@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -84,16 +84,6 @@ def classify_tuple(indices: Sequence[int]) -> TupleClass:
         kind=TupleKind.IDENTICAL if identical else TupleKind.DIFFERENT,
         pairwise_distinct=len(set(idx)) == len(idx),
     )
-
-
-def enumerate_tuples(k: int, n: int, kind: TupleKind | None = None) -> Iterator[TupleClass]:
-    """All k**n index tuples in lexicographic order, optionally filtered."""
-    if k < 1 or n < 1:
-        raise ShapeError(f"need k >= 1 and n >= 1, got k={k}, n={n}")
-    for combo in itertools.product(range(k), repeat=n):
-        t = classify_tuple(combo)
-        if kind is None or t.kind is kind:
-            yield t
 
 
 def outcome_probability(

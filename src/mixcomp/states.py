@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CandidateSetError, NotPSDError, ShapeError, TraceError
-from .linalg import DEFAULT_TOL_NEG, DEFAULT_TOL_SYM, hermitian_eigen, require_hermitian
+from .linalg import DEFAULT_TOL_NEG, DEFAULT_TOL_SYM, require_hermitian
 
 TRACE_TOL = 1e-9
 DUPLICATE_TOL = 1e-9
@@ -19,19 +19,20 @@ class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, unit trace.
 
     The stored matrix is the symmetrized copy of the input and is read-only.
+    The symmetrized matrix is exactly Hermitian, so its spectrum comes from
+    one eigh without a second validation.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = require_hermitian(self.matrix, DEFAULT_TOL_SYM, context="density matrix")
-        w, _ = hermitian_eigen(m, DEFAULT_TOL_SYM)
+        w, _ = np.linalg.eigh(m)
         if float(w[0]) < -DEFAULT_TOL_NEG:
             raise NotPSDError(float(w[0]), DEFAULT_TOL_NEG, context="density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceError(tr, TRACE_TOL, context="density matrix")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

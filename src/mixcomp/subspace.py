@@ -59,13 +59,6 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
 
-    @classmethod
-    def from_vectors(cls, vectors, ambient_dim: int | None = None,
-                     tol_rank: float = DEFAULT_TOL_RANK) -> "Subspace":
-        """Span of arbitrary (possibly dependent) vectors."""
-        q = orthonormal_columns(vectors, tol_rank, dim=ambient_dim)
-        return cls(q.shape[0], q)
-
 
 def support_of(matrix, tol_rank: float = DEFAULT_TOL_RANK,
                tol_sym: float = DEFAULT_TOL_SYM) -> Subspace:
@@ -98,8 +91,7 @@ def subspace_sum(spaces, tol_rank: float = DEFAULT_TOL_RANK,
                 f"subspace_sum mixes ambient dimensions {d} and {s.ambient_dim}"
             )
     stacked = np.hstack([s.basis for s in spaces])
-    q = orthonormal_columns(stacked, tol_rank, dim=d)
-    return Subspace(d, q)
+    return Subspace(d, orthonormal_columns(stacked, tol_rank))
 
 
 def complement(space: Subspace) -> Subspace:

@@ -28,7 +28,6 @@ from mixcomp.linalg import hermitian_eigen, kron_all, min_eigenvalue, orthonorma
 from mixcomp.oracle import (
     TupleKind,
     decide_exists,
-    enumerate_tuples,
     verify_nontrivial,
     verify_unambiguous,
 )
@@ -245,11 +244,11 @@ def test_criterion_8_simultaneous_existence(corpus_results):
         if min_eigenvalue(pv.inconclusive) < -1e-9:
             povm_failures.append((x["name"], "inconclusive not PSD"))
             continue
-        for t in enumerate_tuples(cs.k, n):
-            state = kron_all([cs.matrix(i) for i in t.indices])
+        for t in itertools.product(range(cs.k), repeat=n):
+            state = kron_all([cs.matrix(i) for i in t])
             total = sum(np.trace(part @ state).real for part in pv)
             if abs(total - 1.0) > 1e-9:
-                povm_failures.append((x["name"], f"sum {total} on {t.indices}"))
+                povm_failures.append((x["name"], f"sum {total} on {t}"))
                 break
     ok = not mismatches and not povm_failures and assembled > 0
     record_acceptance(

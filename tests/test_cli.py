@@ -5,7 +5,7 @@ import pytest
 
 from mixcomp import cli, comparison, io
 from mixcomp.cli import analyze_set, format_summary, main
-from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator
+from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, residuals_ok
 from mixcomp.linalg import Tolerances
 from mixcomp.states import candidate_set, demo_set, random_density
 
@@ -236,7 +236,7 @@ class TestConstruct:
         assert code == 0
         op = io.read_operator(str(out_path))
         assert op.n == n
-        assert op.is_valid()
+        assert residuals_ok(op.residuals(), Tolerances())
 
     def test_stdout_payload_parses(self, tmp_path, capsys):
         path = write_demo(tmp_path, "orth2")

@@ -216,7 +216,7 @@ class TestBuildM2Product:
         cs = candidate_set([random_density(2, 1, 3), random_density(2, 1, 4)])
         m2 = build_m2_product(cs, 3)
         assert m2.matrix.shape == (8, 8)
-        assert m2.is_valid(require_projector=True)
+        assert residuals_ok(m2.residuals(), Tolerances(), require_projector=True)
 
 
 class TestBuildM2Pair:
@@ -271,7 +271,7 @@ class TestBuildMaximal:
             )
             for kind in OperatorKind:
                 m = build_maximal(cs, 2, kind)
-                assert m.is_valid(require_projector=True)
+                assert residuals_ok(m.residuals(), Tolerances(), require_projector=True)
 
 
 class TestMeasurementOperator:
@@ -287,7 +287,7 @@ class TestMeasurementOperator:
         m = MeasurementOperator(n=1, dim=2, matrix=2 * np.eye(2), provenance=Provenance.M1_MAXIMAL)
         r = m.residuals()
         assert r["below_identity"] == pytest.approx(1.0)
-        assert not m.is_valid()
+        assert not residuals_ok(r, Tolerances())
 
     def test_matrix_read_only(self):
         m = MeasurementOperator(n=1, dim=2, matrix=np.eye(2), provenance=Provenance.M1_MAXIMAL)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,10 @@ from hypothesis import strategies as st
 from mixcomp.comparison import MeasurementOperator, Provenance
 from mixcomp.errors import NotHermitianError, ShapeError
 from mixcomp.linalg import (
-    EigenDecomposition,
     Tolerances,
+    herm_residual,
     hermitian_eigen,
     identity,
-    is_psd,
     kron,
     kron_all,
     min_eigenvalue,
@@ -100,10 +101,11 @@ class TestHermitianEigen:
         w, _ = hermitian_eigen(random_hermitian(6, 3))
         assert np.all(np.diff(w) >= 0)
 
-    def test_returns_named_fields(self):
-        dec = hermitian_eigen(np.eye(2))
-        assert isinstance(dec, EigenDecomposition)
-        assert np.allclose(dec.eigenvalues, [1, 1])
+    def test_returns_the_eigh_pair(self):
+        a = random_hermitian(5, 4)
+        w, v = hermitian_eigen(a)
+        w_ref, v_ref = np.linalg.eigh(require_hermitian(a))
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
 
     def test_rejects_non_hermitian_with_residual(self):
         a = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -126,6 +128,26 @@ class TestHermitianEigen:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             require_hermitian(np.ones((2, 3)))
+
+
+class TestHermResidual:
+    @pytest.mark.parametrize("d", [0, 1, 3, 255, 256, 257, 1024])
+    def test_equals_the_full_expression(self, d):
+        a = random_matrix(d, d)
+        h = (a + a.conj().T) / 2
+        for m in (a, h, h + 1e-13 * a):
+            assert herm_residual(m) == (float(np.max(np.abs(m - m.conj().T))) if d else 0.0)
+        assert herm_residual(h) == 0.0
+
+    def test_peak_stays_below_a_quarter_matrix(self):
+        a = random_matrix(1024, 1)
+        tracemalloc.start()
+        try:
+            herm_residual(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * a.nbytes
 
 
 class TestOrthonormalColumns:
@@ -156,31 +178,30 @@ class TestOrthonormalColumns:
         small = orthonormal_columns(vecs * 1e-8)
         assert big.shape == small.shape
 
-    def test_empty_input_needs_dim(self):
-        q = orthonormal_columns([], dim=4)
+    def test_empty_input_keeps_dimension(self):
+        q = orthonormal_columns(np.zeros((4, 0)))
         assert q.shape == (4, 0)
-        with pytest.raises(ShapeError):
-            orthonormal_columns([])
 
     def test_zero_columns_dropped(self):
         q = orthonormal_columns(np.zeros((3, 2)))
         assert q.shape == (3, 0)
 
-    def test_accepts_vector_sequence(self):
-        q = orthonormal_columns([np.array([1, 0, 0]), np.array([0, 2, 0])])
-        assert q.shape == (3, 2)
+    def test_rejects_non_matrix_input(self):
+        with pytest.raises(ShapeError):
+            orthonormal_columns(np.array([1.0, 0.0, 0.0]))
 
 
 class TestPsdAndRank:
     def test_gram_matrix_is_psd(self):
         g = random_matrix(4, 9)
-        assert is_psd(g @ g.conj().T)
+        assert min_eigenvalue(g @ g.conj().T) >= -Tolerances().neg
 
     def test_indefinite_is_not_psd(self):
-        assert not is_psd(np.diag([1.0, -1.0]))
+        assert min_eigenvalue(np.diag([1.0, -1.0])) < -Tolerances().neg
 
     def test_non_hermitian_is_not_psd(self):
-        assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(NotHermitianError):
+            min_eigenvalue(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_min_eigenvalue(self):
         assert min_eigenvalue(np.diag([3.0, -2.0, 5.0])) == pytest.approx(-2.0)

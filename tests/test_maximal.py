@@ -6,6 +6,8 @@ operator stays bit-identical to the loop's, and that each skip rule skips
 what it claims to.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,7 @@ from mixcomp.linalg import Tolerances, kron_all
 from mixcomp.states import candidate_set, random_density, validate_density
 from mixcomp.subspace import Subspace, complement, projector
 
-_IDENTICAL_SPAN = comparison._identical_tuple_span
-_DIFFERENT_SPAN = comparison._different_tuple_span
+_TUPLE_SPAN = comparison._tuple_span
 _CERTIFICATE = comparison._span_certificate
 THETAS = [10.0**e for e in range(-12, -1)]
 
@@ -29,10 +30,10 @@ def loop_reference(cs, n, kind):
     t = Tolerances()
     supports = check_conditions(cs, t).supports
     full_dim = cs.dim**n
-    if OperatorKind(kind) is OperatorKind.M2:
-        q = _IDENTICAL_SPAN(n, supports, t.rank, full_dim)
-    else:
-        q = _DIFFERENT_SPAN(cs.k, n, supports, t.rank, full_dim)
+    identical = OperatorKind(kind) is OperatorKind.M2
+    combos = itertools.product(range(cs.k), repeat=n)
+    tuples = [c for c in combos if (len(set(c)) == 1) == identical]
+    q = _TUPLE_SPAN(tuples, supports, t.rank, full_dim)
     return projector(complement(Subspace(full_dim, q)))
 
 
@@ -51,15 +52,12 @@ def spy(monkeypatch):
         log["certs"].append(cert)
         return cert
 
-    def counted(helper):
-        def run(*args):
-            log["loops"] += 1
-            return helper(*args)
-        return run
+    def span(*args):
+        log["loops"] += 1
+        return _TUPLE_SPAN(*args)
 
     monkeypatch.setattr(comparison, "_span_certificate", certificate)
-    monkeypatch.setattr(comparison, "_identical_tuple_span", counted(_IDENTICAL_SPAN))
-    monkeypatch.setattr(comparison, "_different_tuple_span", counted(_DIFFERENT_SPAN))
+    monkeypatch.setattr(comparison, "_tuple_span", span)
     return log
 
 

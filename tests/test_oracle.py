@@ -27,7 +27,6 @@ from mixcomp.oracle import (
     TupleKind,
     classify_tuple,
     decide_exists,
-    enumerate_tuples,
     outcome_probability,
     verify_nontrivial,
     verify_unambiguous,
@@ -43,6 +42,12 @@ from mixcomp.states import (
 EQ26 = demo_set("eq26")
 ORTH2 = demo_set("orth2")
 NESTED2 = demo_set("nested2")
+
+
+def all_tuples(k, n, kind=None):
+    """Every k**n tuple in lexicographic order, optionally only those of one kind."""
+    tuples = (classify_tuple(c) for c in itertools.product(range(k), repeat=n))
+    return [t for t in tuples if kind is None or t.kind is kind]
 
 
 def identity_operator(n, dim, kind=Provenance.M2_MAXIMAL):
@@ -87,14 +92,10 @@ class TestTupleClassification:
         with pytest.raises(ShapeError):
             classify_tuple(())
 
-    def test_enumeration_is_lexicographic(self):
-        tuples = [t.indices for t in enumerate_tuples(2, 2)]
-        assert tuples == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
     @given(st.integers(min_value=2, max_value=3), st.integers(min_value=2, max_value=4))
     @settings(max_examples=12, deadline=None)
     def test_enumeration_counts(self, k, n):
-        total = list(enumerate_tuples(k, n))
+        total = list(all_tuples(k, n))
         identical = [t for t in total if t.kind is TupleKind.IDENTICAL]
         different = [t for t in total if t.kind is TupleKind.DIFFERENT]
         distinct = [t for t in total if t.pairwise_distinct]
@@ -108,7 +109,7 @@ class TestTupleClassification:
 class TestOutcomeProbability:
     def test_identity_gives_one_on_every_tuple(self):
         m = identity_operator(2, 3)
-        for t in enumerate_tuples(3, 2):
+        for t in all_tuples(3, 2):
             assert outcome_probability(m, t, EQ26) == pytest.approx(1.0, abs=1e-12)
 
     def test_permutation_projector_quarter(self):
@@ -256,7 +257,7 @@ class TestPovmCompleteness:
         m1 = build_m1(ORTH2, 2, 0)
         m2 = build_m2_pair(ORTH2, 2)
         pv = assemble_povm(m1, m2)
-        for t in enumerate_tuples(2, 2):
+        for t in all_tuples(2, 2):
             state = kron_all([ORTH2.matrix(i) for i in t.indices])
             total = sum(np.trace(part @ state).real for part in pv)
             assert total == pytest.approx(1.0, abs=1e-9)
@@ -275,14 +276,14 @@ def loop_max(m, cs, tuples):
 
 
 def loop_unambiguous(m, forbidden, cs, tol):
-    worst_p, worst_t = loop_max(m, cs, enumerate_tuples(cs.k, m.n, forbidden))
+    worst_p, worst_t = loop_max(m, cs, all_tuples(cs.k, m.n, forbidden))
     if worst_t is None:
         worst_p, worst_t = 0.0, ()
     return worst_p <= tol.prob, worst_p, worst_t
 
 
 def loop_nontrivial(m, allowed, cs, tol):
-    tuples = list(enumerate_tuples(cs.k, m.n, allowed))
+    tuples = list(all_tuples(cs.k, m.n, allowed))
     best_p, best_t = loop_max(m, cs, tuples)
     if best_t is None:
         best_p, best_t = 0.0, ()
@@ -375,7 +376,7 @@ class TestScreenedScanMatchesTupleLoop:
         m = MeasurementOperator(n=3, dim=2, matrix=random_contraction(8, 12),
                                 provenance=Provenance.M2_MAXIMAL)
         probs = oracle._probabilities(m, cs)
-        loop = [outcome_probability(m, t, cs) for t in enumerate_tuples(5, 3)]
+        loop = [outcome_probability(m, t, cs) for t in all_tuples(5, 3)]
         assert np.max(np.abs(probs - loop)) <= 1e-14
         for op in [m] + operators_for(cs, 3):
             assert_scans_agree(op, cs)

@@ -47,6 +47,16 @@ class TestValidateDensity:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
+    def test_stores_the_symmetrized_copy(self):
+        # off-Hermitian noise below tol.sym: the kept matrix is (M + M^dagger)/2
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real + 1e-12 * g
+        rho = DensityMatrix(m)
+        assert np.array_equal(rho.matrix, (m + m.conj().T) / 2)
+        assert not np.shares_memory(rho.matrix, m)
+
 
 class TestFromEnsemble:
     def test_mixture_matches_direct_sum(self):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixcomp.errors import ShapeError
+from mixcomp.linalg import orthonormal_columns
 from mixcomp.subspace import (
     Subspace,
     complement,
@@ -14,10 +15,15 @@ from mixcomp.subspace import (
 )
 
 
+def span(d, *vecs):
+    """The span of the given length-d vectors, dependent ones dropped."""
+    return Subspace(d, orthonormal_columns(np.column_stack(vecs)))
+
+
 def random_subspace(d, r, seed):
     rng = np.random.default_rng(seed)
     vecs = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-    return Subspace.from_vectors(vecs)
+    return Subspace(d, orthonormal_columns(vecs))
 
 
 class TestSubspaceType:
@@ -41,9 +47,9 @@ class TestSubspaceType:
         with pytest.raises(ValueError):
             s.basis[0, 0] = 5.0
 
-    def test_from_vectors_drops_dependent_input(self):
+    def test_orthonormal_columns_drop_dependent_input(self):
         v = np.array([1.0, 2.0, 0.0])
-        s = Subspace.from_vectors([v, 2 * v, np.array([0.0, 0.0, 1.0])])
+        s = span(3, v, 2 * v, np.array([0.0, 0.0, 1.0]))
         assert s.dim == 2
 
 
@@ -51,7 +57,7 @@ class TestSupportOf:
     def test_rank_two_diagonal(self):
         s = support_of(np.diag([0.5, 0.5, 0.0]))
         assert s.dim == 2
-        target = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], ambient_dim=3)
+        target = span(3, [1, 0, 0], [0, 1, 0])
         assert contains(s, target) and contains(target, s)
 
     def test_zero_matrix_has_empty_support(self):
@@ -110,8 +116,8 @@ class TestSumComplementContains:
         assert contains(s, s)
 
     def test_strict_subspace_not_containing(self):
-        outer = Subspace.from_vectors([[1, 0, 0], [0, 1, 0]], ambient_dim=3)
-        inner = Subspace.from_vectors([[0, 0, 1]], ambient_dim=3)
+        outer = span(3, [1, 0, 0], [0, 1, 0])
+        inner = span(3, [0, 0, 1])
         assert not contains(outer, inner)
         assert contains(complement(outer), inner)
 
