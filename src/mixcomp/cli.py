@@ -10,6 +10,7 @@ a failed eigensolve.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -495,9 +496,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused by later ones.
+
+    Building it costs more than parsing with it; parsing leaves it unchanged.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -51,7 +51,7 @@ from .errors import (
 from .linalg import (
     Tolerances,
     _hermitian_part,
-    _mgs_extend,
+    _mgs_span,
     herm_residual,
     identity,
     kron_all,
@@ -288,7 +288,7 @@ def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> Conditi
     if t in cs._conditions:
         return cs._conditions[t]
     k, d = cs.k, cs.dim
-    supports = tuple(support_of(cs.matrix(i), t.rank, t.sym) for i in range(k))
+    supports = tuple(support_of(st, t.rank, t.sym) for st in cs.states)
     others = tuple(
         subspace_sum([s for j, s in enumerate(supports) if j != i], t.rank, ambient_dim=d)
         for i in range(k)
@@ -458,36 +458,40 @@ def build_m2_pair(
     return _self_check(op, t)
 
 
-def _tuple_span(tuples, supports, threshold, full_dim):
+def _tuple_span(tuples, supports, threshold, full_dim, offered):
     """Orthonormal basis of the span of the tuples' product supports, in their order.
 
-    Stops early once the basis is full; a tuple with an empty factor adds nothing.
+    One MGS pass over every tuple's Kronecker block, with room for
+    min(full_dim, offered) columns, where ``offered`` counts the blocks'
+    columns. It stops once the basis is full; a tuple with an empty factor
+    adds nothing.
     """
-    q = np.zeros((full_dim, 0), dtype=np.complex128)
-    for combo in tuples:
-        factors = [supports[c].basis for c in combo]
-        if any(f.shape[1] == 0 for f in factors):
-            continue
-        q = _mgs_extend(q, kron_all(factors), threshold)
-        if q.shape[1] == full_dim:
-            break
-    return q
+    blocks = (
+        kron_all(factors)
+        for factors in ([supports[c].basis for c in combo] for combo in tuples)
+        if all(f.shape[1] for f in factors)
+    )
+    return _mgs_span(blocks, threshold, full_dim, min(full_dim, offered))
 
 
-def _span_certificate(n, supports, which, threshold, full_dim):
+def _offered_columns(n, supports, which):
+    """How many product columns the tuple class of ``which`` offers to its span."""
+    ranks = [s.dim for s in supports]
+    identical = sum(r**n for r in ranks)
+    return identical if which is OperatorKind.M2 else sum(ranks) ** n - identical
+
+
+def _span_certificate(n, supports, which, threshold, full_dim, count):
     """A proven lower bound on the generator's smallest eigenvalue and the cut it must pass.
 
     The generator is Sum_i P_i^(x)n for the identical class (M2) and
     (Sum_i P_i)^(x)n - Sum_i P_i^(x)n for the different class (M1); its
-    range is the span of the class's product supports. One Cholesky
+    range is the span of the class's ``count`` product columns. One Cholesky
     factorization of G minus a shift on its diagonal proves the bound; when
     it fails, nothing is proven and the bound is -inf. Returns None without
     a factorization when the class offers fewer than ``full_dim`` product
     columns, since such a span cannot be full.
     """
-    ranks = [s.dim for s in supports]
-    identical = sum(r**n for r in ranks)
-    count = identical if which is OperatorKind.M2 else sum(ranks) ** n - identical
     if count < full_dim:
         return None
     projs = [projector(s) for s in supports]
@@ -574,7 +578,8 @@ def build_maximal(
     supports = report.supports
     full_dim = cs.dim ** n
     prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
-    cert = _span_certificate(n, supports, which, t.rank, full_dim)
+    offered = _offered_columns(n, supports, which)
+    cert = _span_certificate(n, supports, which, t.rank, full_dim, offered)
     if cert is not None and cert[0] > cert[1]:
         matrix = np.zeros((full_dim, full_dim))
     else:
@@ -584,7 +589,7 @@ def build_maximal(
             tuples = [(i,) * n for i in range(cs.k)]
         else:
             tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
-        q = _tuple_span(tuples, supports, t.rank, full_dim)
+        q = _tuple_span(tuples, supports, t.rank, full_dim, offered)
         matrix = projector(complement(Subspace(full_dim, q)))
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
     return _self_check(op, t)

@@ -7,9 +7,10 @@ rank decisions use modified Gram-Schmidt with a relative column-norm cutoff.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,15 +92,27 @@ def require_hermitian(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matri
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major convention: (A ox B)[ip+q, jr+s] = A[i,j] B[q,s]."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
+    """Kronecker product, row-major convention: (A ox B)[ip+q, jr+s] = A[i,j] B[q,s].
+
+    One broadcast multiply of the views np.kron multiplies: ``a`` with a
+    unit axis after each of its axes, ``b`` with one before each, the shorter
+    shape padded with leading ones. Each entry is the same single complex
+    product, without np.kron's Python-level axis bookkeeping.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    nd = max(a.ndim, b.ndim)
+    sa = (1,) * (nd - a.ndim) + a.shape
+    sb = (1,) * (nd - b.ndim) + b.shape
+    prod = a.reshape([x for n in sa for x in (n, 1)]) * b.reshape([x for n in sb for x in (1, n)])
+    return prod.reshape([x * y for x, y in zip(sa, sb)])
 
 
 def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Kronecker product of a non-empty sequence, left to right."""
     if len(factors) == 0:
         raise ShapeError("kron_all needs at least one factor")
-    return reduce(kron, [np.asarray(f, dtype=np.complex128) for f in factors])
+    return reduce(kron, factors[1:], np.asarray(factors[0], dtype=np.complex128))
 
 
 def hermitian_eigen(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -113,23 +126,43 @@ def hermitian_eigen(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix"
     return np.linalg.eigh(require_hermitian(a, tol_sym, context))
 
 
-def _mgs_extend(basis: np.ndarray, cols: np.ndarray, threshold: float) -> np.ndarray:
-    """Orthogonalize ``cols`` against ``basis`` and against each other.
+def _mgs_span(blocks: Iterable[np.ndarray], threshold: float, dim: int, cap: int) -> np.ndarray:
+    """Orthonormal basis of the span of the blocks' columns, taken in order.
 
-    Two projection sweeps per column keep the result orthonormal to working
-    precision even for nearly dependent inputs. Columns whose residual norm
-    is at or below ``threshold`` are dropped. Returns the extended basis.
+    Modified Gram-Schmidt with two projection sweeps per column keeps the
+    result orthonormal to working precision even for nearly dependent
+    inputs; a column whose residual norm is at or below ``threshold`` is
+    dropped. Kept columns go into a C-ordered (dim, cap) buffer and their
+    conjugates into a second one, so q^dagger v and q w read views instead
+    of copies. ``cap``, at most the columns offered and at most ``dim``,
+    sizes the buffers; once ``cap`` columns are kept the loop stops, before
+    the remaining blocks are formed. Returns a (dim, kept) view.
     """
-    q = basis
-    for j in range(cols.shape[1]):
-        v = cols[:, j].copy()
-        for _ in range(2):
-            if q.shape[1]:
-                v -= q @ (dagger(q) @ v)
-        nrm = float(np.linalg.norm(v))
-        if nrm > threshold:
-            q = np.hstack([q, (v / nrm)[:, None]])
-    return q
+    q = np.empty((dim, cap), dtype=np.complex128)
+    qc = np.empty((dim, cap), dtype=np.complex128)
+    m = 0
+    for block in blocks:
+        for j in range(block.shape[1]):
+            v = block[:, j].copy()
+            if m:
+                # numpy sends a C-ordered (1, dim) row to another gemv kernel
+                # than a strided one; np.conj(q.T) of one column is C-ordered,
+                # so the row is copied to keep its bits (for m >= 2 the view
+                # reaches the same kernel as the conjugate copy)
+                qh = np.ascontiguousarray(qc[:, :1].T) if m == 1 else qc[:, :m].T
+                for _ in range(2):
+                    v -= q[:, :m] @ (qh @ v)
+            # np.linalg.norm's own formula for a complex vector
+            re, im = v.real, v.imag
+            nrm = math.sqrt(re.dot(re) + im.dot(im))
+            if nrm > threshold:
+                u = v / nrm
+                q[:, m] = u
+                np.conjugate(u, out=qc[:, m])
+                m += 1
+                if m == cap:
+                    return q
+    return q[:, :m]
 
 
 def orthonormal_columns(vectors: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
@@ -143,9 +176,11 @@ def orthonormal_columns(vectors: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK)
         raise ShapeError(f"expected a (d, m) array of columns, got shape {cols.shape}")
     if not np.all(np.isfinite(cols.real)) or not np.all(np.isfinite(cols.imag)):
         raise ShapeError("input vectors contain NaN or Inf entries")
+    d, m = cols.shape
     scale = float(np.max(np.linalg.norm(cols, axis=0), initial=0.0))
-    empty = np.zeros((len(cols), 0), dtype=np.complex128)
-    return _mgs_extend(empty, cols, tol_rank * scale) if scale else empty
+    if not scale:
+        return np.zeros((d, 0), dtype=np.complex128)
+    return _mgs_span([cols], tol_rank * scale, d, min(d, m))
 
 
 def min_eigenvalue(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .comparison import DEFAULT_CAP, MeasurementOperator, OperatorKind, build_maximal
 from .errors import CapExceededError, ShapeError
-from .linalg import Tolerances, kron_all, trace_product
+from .linalg import Tolerances, kron_all
 from .states import CandidateSet
 
 
@@ -106,8 +106,10 @@ def outcome_probability(
         raise ShapeError(f"tuple {t.indices} has indices outside 0..{cs.k - 1}")
     if cs.dim ** m.n > cap:
         raise CapExceededError(cs.dim, m.n, cap)
-    state = kron_all([cs.matrix(i) for i in t.indices])
-    return float(trace_product(m.matrix, state).real)
+    # Tr(M S) = sum M * S^T, and S^T is the product of the transposed
+    # states, formed in the memory order that M is read in
+    state_t = kron_all([cs.matrix(i).T for i in t.indices])
+    return float(np.sum(m.matrix * state_t).real)
 
 
 class UnambiguityResult(NamedTuple):

@@ -20,21 +20,25 @@ class DensityMatrix:
 
     The stored matrix is the symmetrized copy of the input and is read-only.
     The symmetrized matrix is exactly Hermitian, so its spectrum comes from
-    one eigh without a second validation.
+    one eigh without a second validation. That eigh's read-only (w, v) pair
+    is kept in ``_eigh``, where ``subspace.support_of`` reads the support.
     """
 
     matrix: np.ndarray
+    _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = require_hermitian(self.matrix, DEFAULT_TOL_SYM, context="density matrix")
-        w, _ = np.linalg.eigh(m)
+        w, v = np.linalg.eigh(m)
         if float(w[0]) < -DEFAULT_TOL_NEG:
             raise NotPSDError(float(w[0]), DEFAULT_TOL_NEG, context="density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceError(tr, TRACE_TOL, context="density matrix")
-        m.setflags(write=False)
+        for a in (m, w, v):
+            a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_eigh", (w, v))
 
     @property
     def dim(self) -> int:

@@ -20,6 +20,7 @@ from .linalg import (
     hermitian_eigen,
     orthonormal_columns,
 )
+from .states import DensityMatrix
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,18 @@ class Subspace:
 
 def support_of(matrix, tol_rank: float = DEFAULT_TOL_RANK,
                tol_sym: float = DEFAULT_TOL_SYM) -> Subspace:
-    """Support of a Hermitian PSD matrix.
+    """Support of a Hermitian PSD matrix or of a DensityMatrix.
 
     Eigenvectors whose eigenvalue exceeds ``tol_rank`` times the largest
-    eigenvalue span the support. The all-zero matrix has empty support.
+    eigenvalue span the support. The all-zero matrix has empty support. A
+    DensityMatrix lends the eigh its validation already ran: its matrix is
+    exactly Hermitian, so validating and symmetrizing it again would hand
+    eigh the same bits.
     """
-    w, v = hermitian_eigen(matrix, tol_sym, context="support_of input")
+    if isinstance(matrix, DensityMatrix):
+        w, v = matrix._eigh
+    else:
+        w, v = hermitian_eigen(matrix, tol_sym, context="support_of input")
     d = v.shape[0]
     top = float(np.max(np.abs(w))) if w.size else 0.0
     if top == 0.0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,6 +170,26 @@ class TestAnalyze:
         assert rep["reduction"]["survivors"] == [1]
 
 
+def test_parser_built_once_per_process(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+
+    def counted():
+        built.append(True)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["gen", "--d", "2", "--k", "2", "--ranks", "1,1"]) == 0
+        assert main(["gen", "--d", "0", "--k", "2", "--ranks", "1,1"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+
+
 class TestToleranceResolution:
     def test_env_var_used_when_flag_absent(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MIXCOMP_TOL", "1e-6")
@@ -265,6 +288,25 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", path, "--n", "2", "--operator", "m1", "--method", "eq13")
         assert code == 2
         assert "escape" in err or "exist" in err
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys, monkeypatch):
+        # --i0 1 in one call must not reach the next call of the same process:
+        # each output equals the one of a process of its own
+        path = write_demo(tmp_path, "orth2")
+        base = ["construct", path, "--n", "2", "--operator", "m1", "--method", "eq13"]
+        calls = [base + ["--i0", "1"], base]
+        in_process = []
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"op-{i}.json"
+            code, stdout, err = run(capsys, *argv, "--out", str(out))
+            in_process.append((code, stdout, err, out.read_bytes()))
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        for i, argv in enumerate(calls):
+            out = tmp_path / f"alone-{i}.json"
+            proc = subprocess.run([sys.executable, "-m", "mixcomp.cli", *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=env, check=False)
+            assert in_process[i] == (proc.returncode, proc.stdout, proc.stderr, out.read_bytes())
+        assert in_process[0][3] != in_process[1][3]
 
     def test_too_short_tuple_exits_2(self, tmp_path, capsys):
         path = write_demo(tmp_path, "eq26")

@@ -1,14 +1,18 @@
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import near_degenerate_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixcomp.comparison import MeasurementOperator, Provenance
+from mixcomp.comparison import MeasurementOperator, Provenance, check_conditions
 from mixcomp.errors import NotHermitianError, ShapeError
 from mixcomp.linalg import (
     Tolerances,
+    _mgs_span,
+    dagger,
     herm_residual,
     hermitian_eigen,
     identity,
@@ -19,6 +23,7 @@ from mixcomp.linalg import (
     require_hermitian,
     trace_product,
 )
+from mixcomp.states import basis_state
 
 
 def random_hermitian(d, seed):
@@ -87,6 +92,137 @@ class TestKron:
     def test_kron_all_rejects_empty(self):
         with pytest.raises(ShapeError):
             kron_all([])
+
+
+def same_bits(x, y):
+    """Equal shape, dtype and bytes: unlike array_equal, -0.0 differs from 0.0."""
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _kron_inputs():
+    a, b = random_matrix(3, 31), random_matrix(4, 32)
+    rect = np.random.default_rng(33).standard_normal((2, 5)) + 1j
+    return {
+        "matrices": (a, b),
+        "rectangular": (rect, a),
+        "vectors": (basis_state(3, 1), random_matrix(4, 34)[0]),
+        "vector-matrix": (basis_state(2, 0), a),
+        "matrix-vector": (b, random_matrix(3, 35)[:, 1]),
+        "empty-bases": (np.zeros((3, 0), dtype=complex), np.zeros((2, 0), dtype=complex)),
+        "empty-and-full": (np.zeros((4, 0), dtype=complex), a),
+        "integers": (np.arange(6).reshape(2, 3) - 2, np.array([[1, -3], [0, 7]])),
+        "transposed-views": (a.T, b.T),
+        "strided-views": (b[::2, 1:], a[:, ::-1]),
+        "signed-zeros": (np.array([[-0.0 + 0j, 1j]]), np.array([[1 - 0j, -1.0 + 0j]])),
+    }
+
+
+class TestKronBits:
+    """kron and kron_all give np.kron's bits on every input kind callers pass."""
+
+    @pytest.mark.parametrize("name", list(_kron_inputs()))
+    def test_kron_matches_np_kron(self, name):
+        a, b = _kron_inputs()[name]
+        expected = np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        assert same_bits(kron(a, b), expected)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_kron_all_matches_reduce(self, count):
+        factors = [random_matrix(2 + i % 2, 40 + i) for i in range(count)]
+        assert same_bits(kron_all(factors), functools.reduce(np.kron, factors))
+        bases = [np.linalg.qr(random_matrix(3, 50 + i))[0][:, :2] for i in range(count)]
+        assert same_bits(kron_all(bases), functools.reduce(np.kron, bases))
+        vectors = [basis_state(3, i % 3) for i in range(count)]
+        assert same_bits(kron_all(vectors), functools.reduce(np.kron, vectors))
+        integers = [np.arange(4).reshape(2, 2) + i for i in range(count)]
+        expected = functools.reduce(np.kron, [f.astype(complex) for f in integers])
+        assert same_bits(kron_all(integers), expected)
+
+
+def mgs_extend(basis, cols, threshold):
+    """The span loop's old kernel, kept as the reference: regrow q, copy q^dagger."""
+    q = basis
+    for j in range(cols.shape[1]):
+        v = cols[:, j].copy()
+        for _ in range(2):
+            if q.shape[1]:
+                v -= q @ (dagger(q) @ v)
+        nrm = float(np.linalg.norm(v))
+        if nrm > threshold:
+            q = np.hstack([q, (v / nrm)[:, None]])
+    return q
+
+
+def reference_span(blocks, threshold, dim):
+    """The old block loop: extend by each block, stop after the one that fills q."""
+    q = np.zeros((dim, 0), dtype=complex)
+    for block in blocks:
+        q = mgs_extend(q, block, threshold)
+        if q.shape[1] == dim:
+            break
+    return q
+
+
+class TestMgsSpanBits:
+    """_mgs_span keeps the reference loop's bits: same gemv kernels, same norms."""
+
+    @pytest.mark.parametrize("dim,widths", [
+        (5, [3]), (16, [1, 4, 2]), (64, [1, 1, 9]), (40, [7, 7, 7]), (9, [4, 4, 4]),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blocks(self, dim, widths, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((dim, w)) + 1j * rng.standard_normal((dim, w))
+                  for w in widths]
+        offered = sum(widths)
+        got = _mgs_span(blocks, 1e-9, dim, min(dim, offered))
+        assert same_bits(got, reference_span(blocks, 1e-9, dim))
+
+    def test_one_column_start(self):
+        # after the first kept column, q^dagger v runs on a (1, D) row: the
+        # other gemv kernel than for m >= 2 unless the row is C-ordered
+        rng = np.random.default_rng(7)
+        for dim in (2, 3, 17, 256):
+            first = rng.standard_normal((dim, 1)) + 1j * rng.standard_normal((dim, 1))
+            rest = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+            got = _mgs_span([first, rest], 1e-9, dim, min(dim, 4))
+            assert got.shape[1] == min(dim, 4)
+            assert same_bits(got, reference_span([first, rest], 1e-9, dim))
+
+    def test_exactly_dependent_columns(self):
+        rng = np.random.default_rng(8)
+        base = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+        mixed = base @ (rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3)))
+        cols = np.hstack([base[:, :2], 2 * base[:, :1], mixed, base, np.zeros((12, 1))])
+        got = _mgs_span([cols], 1e-9, 12, 11)
+        assert got.shape == (12, 4)
+        assert same_bits(got, reference_span([cols], 1e-9, 12))
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-9, 1e-6, 1e-3])
+    def test_near_degenerate_supports(self, theta):
+        cs = near_degenerate_set(3, 3, 2, theta, 3031)
+        supports = check_conditions(cs, Tolerances()).supports
+        for n in (2, 3):
+            blocks = [kron_all([s.basis] * n) for s in supports]
+            offered = sum(b.shape[1] for b in blocks)
+            got = _mgs_span(blocks, 1e-9, 3**n, min(3**n, offered))
+            assert same_bits(got, reference_span(blocks, 1e-9, 3**n))
+
+    def test_full_span_stops_at_dim(self):
+        rng = np.random.default_rng(9)
+        blocks = [rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+                  for _ in range(4)]
+        formed = []
+
+        def lazy():
+            for b in blocks:
+                formed.append(b)
+                yield b
+
+        got = _mgs_span(lazy(), 1e-9, 6, 6)
+        assert got.shape == (6, 6) and len(formed) == 2
+        assert same_bits(got, reference_span(blocks, 1e-9, 6))
 
 
 class TestHermitianEigen:

@@ -33,7 +33,8 @@ def loop_reference(cs, n, kind):
     identical = OperatorKind(kind) is OperatorKind.M2
     combos = itertools.product(range(cs.k), repeat=n)
     tuples = [c for c in combos if (len(set(c)) == 1) == identical]
-    q = _TUPLE_SPAN(tuples, supports, t.rank, full_dim)
+    offered = comparison._offered_columns(n, supports, OperatorKind(kind))
+    q = _TUPLE_SPAN(tuples, supports, t.rank, full_dim, offered)
     return projector(complement(Subspace(full_dim, q)))
 
 

@@ -21,7 +21,7 @@ from mixcomp.comparison import (
     build_maximal,
 )
 from mixcomp.errors import CapExceededError, ShapeError
-from mixcomp.linalg import Tolerances, kron_all
+from mixcomp.linalg import Tolerances, kron_all, trace_product
 from mixcomp.oracle import (
     TupleClass,
     TupleKind,
@@ -155,6 +155,18 @@ class TestOutcomeProbability:
         m = identity_operator(2, 2)
         with pytest.raises(CapExceededError):
             outcome_probability(m, classify_tuple((0, 1)), ORTH2, cap=2)
+
+    @pytest.mark.parametrize("d,k,n", [(2, 3, 4), (3, 3, 3), (4, 2, 3), (2, 3, 7), (3, 4, 5)])
+    def test_matches_the_trace_product_route(self, d, k, n):
+        # S^T formed from the transposed states gives the bits of
+        # Tr(M S) = sum M * S.T, the route through the strided transpose
+        cs = gaussian_set(d, k, 1000 * d + 10 * k + n)
+        tuples = all_tuples(k, n)[:: max(1, k**n // 12)]
+        for m in operators_for(cs, n):
+            for t in tuples:
+                state = kron_all([cs.matrix(i) for i in t.indices])
+                expected = float(trace_product(m.matrix, state).real)
+                assert outcome_probability(m, t, cs) == expected
 
 
 class TestVerifyUnambiguous:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixcomp import subspace
 from mixcomp.errors import ShapeError
 from mixcomp.linalg import orthonormal_columns
 from mixcomp.subspace import (
@@ -13,6 +14,7 @@ from mixcomp.subspace import (
     subspace_sum,
     support_of,
 )
+from mixcomp.states import random_density
 
 
 def span(d, *vecs):
@@ -70,6 +72,18 @@ class TestSupportOf:
     def test_mixture_support(self):
         rho = 0.9 * np.outer([1, 0], [1, 0]) + 0.1 * np.outer([0, 1], [0, 1])
         assert support_of(rho.astype(complex)).dim == 2
+
+    @pytest.mark.parametrize("d,rank", [(2, 1), (3, 2), (4, 4), (6, 3)])
+    def test_density_matrix_lends_its_eigh(self, monkeypatch, d, rank):
+        # the state's matrix is exactly Hermitian: re-validating it would
+        # hand eigh the same bits, so the support equals the raw-matrix path
+        state = random_density(d, rank, 10 * d + rank)
+        expected = support_of(np.array(state.matrix)).basis
+        calls = []
+        monkeypatch.setattr(subspace, "hermitian_eigen", lambda *a, **k: calls.append(a))
+        got = support_of(state).basis
+        assert calls == [] and got.shape == (d, rank)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestSumComplementContains:
