@@ -32,9 +32,11 @@ from .comparison import (
 )
 from .errors import (
     CapExceededError,
+    ConditionNotMetError,
     InputError,
     InternalCheckError,
     MixcompError,
+    TupleTooShortError,
 )
 from .linalg import Tolerances
 from .oracle import TUPLE_CLASSES, verify_nontrivial, verify_unambiguous
@@ -98,43 +100,32 @@ def _operator_entry(op, una, nt, tol) -> dict:
     }
 
 
-def _scan(op, cs, n, cap, tol):
-    forbidden, allowed = TUPLE_CLASSES[op.kind]
-    una = verify_unambiguous(op, forbidden, cs, n, cap=cap, tol=tol)
-    nt = verify_nontrivial(op, allowed, cs, n, cap=cap, tol=tol)
-    return una, nt
-
-
 # Per provenance, in the order analyze builds and reports them: the builder,
 # called as build(cs, n, i0, tol, cap) through this module's names so that a
-# replaced builder is the one called; whether analyze builds it for a given
-# ConditionReport and n; and analyze's message when the oracle rejects an
-# explicit construction. Maximal operators have none: they need only be
-# unambiguous, and whether they are non-trivial is the existence verdict.
+# replaced builder is the one called, and analyze's message when the oracle
+# rejects an explicit construction. Maximal operators have none: they need
+# only be unambiguous, and whether they are non-trivial is the existence
+# verdict. A builder whose precondition fails raises ConditionNotMetError or
+# TupleTooShortError, and analyze skips it.
 _CONSTRUCTIONS = {
     Provenance.M1_MAXIMAL: (
         lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M1, cap=cap, tol=tol),
-        lambda report, n: True,
         None,
     ),
     Provenance.M2_MAXIMAL: (
         lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M2, cap=cap, tol=tol),
-        lambda report, n: True,
         None,
     ),
     Provenance.M1_EQ13: (
         lambda cs, n, i0, tol, cap: build_m1(cs, n, i0, tol, cap),
-        lambda report, n: report.m1_condition,
         "explicit identical-outcome construction failed oracle checks",
     ),
     Provenance.M2_PRODUCT_EQ27: (
         lambda cs, n, i0, tol, cap: build_m2_product(cs, n, tol, cap),
-        lambda report, n: report.m2_necessary and n >= len(report.survivors),
         "product different-outcome construction failed oracle checks",
     ),
     Provenance.M2_PAIR_EQ24: (
         lambda cs, n, i0, tol, cap: build_m2_pair(cs, n, tol, cap),
-        lambda report, n: report.m2_structural,
         "pair different-outcome construction failed oracle checks",
     ),
 }
@@ -154,11 +145,12 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     operators = []
     existence = {}
     built: dict[Provenance, MeasurementOperator] = {}
-    for prov, (build, wanted, failure) in _CONSTRUCTIONS.items():
-        if not wanted(report, n):
+    for prov, (build, failure) in _CONSTRUCTIONS.items():
+        try:
+            op = build(cs, n, None, tol, cap)
+        except (ConditionNotMetError, TupleTooShortError):
             continue
-        op = build(cs, n, None, tol, cap)
-        una, nt = _scan(op, cs, n, cap, tol)
+        una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
         if failure is None:
             if not una.ok:
                 raise InternalCheckError(
@@ -326,9 +318,9 @@ def cmd_construct(args) -> int:
         )
     if args.i0 is not None and key != ("m1", "eq13"):
         raise InputError("--i0 only applies to m1 eq13")
-    build, _, _ = _CONSTRUCTIONS[_METHODS[key]]
+    build, _ = _CONSTRUCTIONS[_METHODS[key]]
     op = build(cs, args.n, args.i0, tol, args.cap)
-    una, nt = _scan(op, cs, args.n, args.cap, tol)
+    una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
     if not una.ok:
         raise InternalCheckError(
             f"constructed operator {op.provenance.value} fired on forbidden tuple "
@@ -350,7 +342,9 @@ def cmd_verify(args) -> int:
     cs = io.read_candidate_set(args.set_file)
     # a non-Hermitian file exits 2 before the scan and the eigensolve are paid
     op.require_hermitian(tol)
-    una, nt = _scan(op, cs, op.n, args.cap, tol)
+    if op.dim ** op.n > args.cap:
+        raise CapExceededError(op.dim, op.n, args.cap)
+    una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
     forbidden, allowed = TUPLE_CLASSES[op.kind]
     res = op.residuals()
     rep = {

@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .comparison import DEFAULT_CAP, MeasurementOperator, OperatorKind, build_maximal
-from .errors import CapExceededError, ShapeError
+from .errors import ShapeError
 from .linalg import Tolerances, kron_all
 from .states import CandidateSet
 
@@ -49,49 +49,32 @@ TUPLE_CLASSES = {
 
 @dataclass(frozen=True)
 class TupleClass:
-    """An n-tuple of candidate indices with its comparison class.
+    """An n-tuple of candidate indices, 0-based, and its comparison class.
 
     ``kind`` is IDENTICAL exactly when all indices coincide; DIFFERENT means
-    not all identical, repeats allowed. ``pairwise_distinct`` additionally
-    flags tuples with no repeats at all. Indices are 0-based.
+    not all identical, repeats allowed. ``pairwise_distinct`` flags tuples
+    with no repeats at all.
     """
 
     indices: tuple[int, ...]
-    kind: TupleKind
-    pairwise_distinct: bool
 
-    def __post_init__(self):
-        if len(self.indices) == 0:
-            raise ShapeError("a tuple needs at least one index")
-        identical = all(i == self.indices[0] for i in self.indices)
-        if (self.kind is TupleKind.IDENTICAL) != identical:
-            raise ShapeError(
-                f"kind {self.kind.value} inconsistent with indices {self.indices}"
-            )
-        if self.pairwise_distinct != (len(set(self.indices)) == len(self.indices)):
-            raise ShapeError(
-                f"pairwise_distinct flag inconsistent with indices {self.indices}"
-            )
+    @property
+    def kind(self) -> TupleKind:
+        return TupleKind.IDENTICAL if len(set(self.indices)) == 1 else TupleKind.DIFFERENT
+
+    @property
+    def pairwise_distinct(self) -> bool:
+        return len(set(self.indices)) == len(self.indices)
 
 
 def classify_tuple(indices: Sequence[int]) -> TupleClass:
     idx = tuple(int(i) for i in indices)
     if not idx:
         raise ShapeError("a tuple needs at least one index")
-    identical = all(i == idx[0] for i in idx)
-    return TupleClass(
-        indices=idx,
-        kind=TupleKind.IDENTICAL if identical else TupleKind.DIFFERENT,
-        pairwise_distinct=len(set(idx)) == len(idx),
-    )
+    return TupleClass(idx)
 
 
-def outcome_probability(
-    m: MeasurementOperator,
-    t: TupleClass,
-    cs: CandidateSet,
-    cap: int = DEFAULT_CAP,
-) -> float:
+def outcome_probability(m: MeasurementOperator, t: TupleClass, cs: CandidateSet) -> float:
     """Probability of the outcome on the tensor product of the tuple's states.
 
     Returns the real part of Tr(M rho_t1 x ... x rho_tn); the imaginary part
@@ -104,8 +87,6 @@ def outcome_probability(
         raise ShapeError(f"set dimension {cs.dim} does not match operator dim = {m.dim}")
     if any(not 0 <= i < cs.k for i in t.indices):
         raise ShapeError(f"tuple {t.indices} has indices outside 0..{cs.k - 1}")
-    if cs.dim ** m.n > cap:
-        raise CapExceededError(cs.dim, m.n, cap)
     # Tr(M S) = sum M * S^T, and S^T is the product of the transposed
     # states, formed in the memory order that M is read in
     state_t = kron_all([cs.matrix(i).T for i in t.indices])
@@ -134,15 +115,6 @@ class NontrivialityResult(NamedTuple):
     best_distinct_tuple: tuple[int, ...] | None
 
 
-def _check_scan_inputs(m: MeasurementOperator, cs: CandidateSet, n: int, cap: int) -> None:
-    if n != m.n:
-        raise ShapeError(f"requested n = {n} does not match operator n = {m.n}")
-    if cs.dim != m.dim:
-        raise ShapeError(f"set dimension {cs.dim} does not match operator dim = {m.dim}")
-    if cs.dim ** n > cap:
-        raise CapExceededError(cs.dim, n, cap)
-
-
 def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
     """Tr(M rho_t) for all k**n tuples t, as a real vector in lexicographic order.
 
@@ -159,6 +131,8 @@ def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
     The vector is kept read-only on ``m._memo`` with its set, and reused only
     for that very set object.
     """
+    if cs.dim != m.dim:
+        raise ShapeError(f"set dimension {cs.dim} does not match operator dim = {m.dim}")
     kept = m._memo.get("probabilities")
     if kept is not None and kept[0] is cs:
         return kept[1]
@@ -208,7 +182,6 @@ def _class_max(
     cs: CandidateSet,
     probs: np.ndarray,
     mask: np.ndarray,
-    cap: int,
     tol: Tolerances,
 ) -> tuple[float, tuple[int, ...]] | None:
     """Largest probability over the masked tuples and the tuple that has it.
@@ -243,53 +216,39 @@ def _class_max(
     best_p, best_t = -np.inf, ()
     for i in idx[vals >= top - delta]:
         tup = classify_tuple(np.unravel_index(i, shape))
-        p = outcome_probability(m, tup, cs, cap)
+        p = outcome_probability(m, tup, cs)
         if p > best_p:
             best_p, best_t = p, tup.indices
     return best_p, best_t
 
 
 def verify_unambiguous(
-    m: MeasurementOperator,
-    forbidden: TupleKind,
-    cs: CandidateSet,
-    n: int | None = None,
-    cap: int = DEFAULT_CAP,
-    tol: Tolerances | None = None,
+    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances | None = None
 ) -> UnambiguityResult:
-    """Certify that the operator never fires on the forbidden tuple class.
+    """Certify that the operator never fires on the tuple class its kind forbids.
 
-    Reports the largest probability over every tuple of the forbidden kind
-    with its tuple (lexicographically first among ties; see the module
-    docstring for ties at round-off level).
+    Reports the largest probability over every forbidden tuple with its
+    tuple (lexicographically first among ties; see the module docstring for
+    ties at round-off level).
     """
     t = tol or Tolerances()
-    n = m.n if n is None else n
-    _check_scan_inputs(m, cs, n, cap)
-    mask = _class_mask(cs.k, n, TupleKind(forbidden))
-    worst = _class_max(m, cs, _probabilities(m, cs), mask, cap, t)
+    mask = _class_mask(cs.k, m.n, TUPLE_CLASSES[m.kind][0])
+    worst = _class_max(m, cs, _probabilities(m, cs), mask, t)
     worst_p, worst_t = worst if worst is not None else (0.0, ())
     return UnambiguityResult(ok=worst_p <= t.prob, worst_probability=float(worst_p),
                              worst_tuple=worst_t)
 
 
 def verify_nontrivial(
-    m: MeasurementOperator,
-    allowed: TupleKind,
-    cs: CandidateSet,
-    n: int | None = None,
-    cap: int = DEFAULT_CAP,
-    tol: Tolerances | None = None,
+    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances | None = None
 ) -> NontrivialityResult:
-    """Certify that the operator fires on at least one allowed tuple."""
+    """Certify that the operator fires on at least one tuple its kind allows."""
     t = tol or Tolerances()
-    n = m.n if n is None else n
-    _check_scan_inputs(m, cs, n, cap)
-    mask = _class_mask(cs.k, n, TupleKind(allowed))
+    mask = _class_mask(cs.k, m.n, TUPLE_CLASSES[m.kind][1])
     probs = _probabilities(m, cs)
-    best = _class_max(m, cs, probs, mask, cap, t)
+    best = _class_max(m, cs, probs, mask, t)
     best_p, best_t = best if best is not None else (0.0, ())
-    best_d = _class_max(m, cs, probs, mask & _distinct_mask(cs.k, n), cap, t)
+    best_d = _class_max(m, cs, probs, mask & _distinct_mask(cs.k, m.n), t)
     best_dp, best_dt = best_d if best_d is not None else (None, None)
     return NontrivialityResult(
         ok=best_p > t.prob,
@@ -314,6 +273,4 @@ def decide_exists(
     lies inside the maximal projector's range.
     """
     t = tol or Tolerances()
-    which = OperatorKind(which)
-    m = build_maximal(cs, n, which, cap=cap, tol=t)
-    return verify_nontrivial(m, TUPLE_CLASSES[which][1], cs, n, cap=cap, tol=t).ok
+    return verify_nontrivial(build_maximal(cs, n, which, cap=cap, tol=t), cs, t).ok

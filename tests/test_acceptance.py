@@ -25,12 +25,7 @@ from mixcomp.comparison import (
     reduce_candidates,
 )
 from mixcomp.linalg import hermitian_eigen, kron_all, min_eigenvalue, orthonormal_columns
-from mixcomp.oracle import (
-    TupleKind,
-    decide_exists,
-    verify_nontrivial,
-    verify_unambiguous,
-)
+from mixcomp.oracle import decide_exists, verify_nontrivial, verify_unambiguous
 from mixcomp.states import basis_state, demo_set
 from mixcomp.subspace import Subspace, complement, projector
 
@@ -193,8 +188,8 @@ def test_criterion_6_product_construction_always_works(corpus_results):
     for x in eligible:
         cs, n = x["cs"], x["n"]
         m2 = build_m2_product(cs, n)
-        una = verify_unambiguous(m2, TupleKind.IDENTICAL, cs, n)
-        nt = verify_nontrivial(m2, TupleKind.DIFFERENT, cs, n)
+        una = verify_unambiguous(m2, cs)
+        nt = verify_nontrivial(m2, cs)
         if not (una.ok and nt.ok and x["exists_m2"]):
             failures.append(x["name"])
     ok = not failures and len(eligible) > 0
@@ -213,8 +208,8 @@ def test_criterion_7_pair_construction_always_works(corpus_results):
     for x in eligible:
         cs, n = x["cs"], x["n"]
         m2 = build_m2_pair(cs, n)
-        una = verify_unambiguous(m2, TupleKind.IDENTICAL, cs, n)
-        nt = verify_nontrivial(m2, TupleKind.DIFFERENT, cs, n)
+        una = verify_unambiguous(m2, cs)
+        nt = verify_nontrivial(m2, cs)
         if not (una.ok and nt.ok):
             failures.append(x["name"])
     ok = not failures and len(eligible) > 0

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from mixcomp import cli, comparison, io
+from mixcomp import cli, comparison, io, oracle
 from mixcomp.cli import analyze_set, format_summary, main
 from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, residuals_ok
+from mixcomp.errors import InternalCheckError
 from mixcomp.linalg import Tolerances
 from mixcomp.states import candidate_set, demo_set, random_density
 
@@ -168,6 +169,21 @@ class TestAnalyze:
         assert rep["input"]["tolerances"]["rank"] == 1e-8
         assert rep["input"]["tolerances"]["sym"] == 1e-9
         assert rep["reduction"]["survivors"] == [1]
+
+    @pytest.mark.xfail(raises=InternalCheckError, strict=True, reason=(
+        "the eq. 13 operator is unambiguous, but its best identical tuple fires with "
+        "0.2851**3 = 0.0232 < tol.prob = 0.03, and analyze aborts with exit 4"))
+    def test_witness_below_probability_resolution_is_no_internal_error(self):
+        # a diagonal corpus set: candidate 1 puts weight 0.2851 outside the others'
+        # span, so P^(x3) fires below tol.prob. No nonzero eigenvalue is below 0.2851,
+        # so the supports are the same at 3e-2 as at 1e-9: nothing is truncated.
+        cs = candidate_set([
+            np.diag([0.30257022173252335, 0.0, 0.6974297782674767]),
+            np.diag([0.0, 0.28511536057937426, 0.7148846394206257]),
+            np.diag([0.40036805049743485, 0.0, 0.5996319495025652]),
+        ])
+        rep = analyze_set(cs, 3, Tolerances.from_global(3e-2), DEFAULT_CAP)
+        assert rep["conditions"]["m1_witnesses"] == [1]
 
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
@@ -383,7 +399,7 @@ class TestVerify:
         obj["matrix"][0][1][0] += 1e-6
         op_path.write_text(json.dumps(obj))
         scans, solves = [], []
-        scan, eigvalsh = cli._scan, np.linalg.eigvalsh
+        scan, eigvalsh = oracle._probabilities, np.linalg.eigvalsh
 
         def counted_scan(*args):
             scans.append(args)
@@ -393,12 +409,26 @@ class TestVerify:
             solves.append(args)
             return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_scan", counted_scan)
+        monkeypatch.setattr(oracle, "_probabilities", counted_scan)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_solve)
         code, out, err = run(capsys, "verify", str(op_path), set_path)
         assert (code, out) == (2, "")
         assert err.startswith("error: matrix is not Hermitian: ")
         assert scans == [] and solves == []
+
+    def test_cap_below_the_operator_exits_3_without_a_report(self, tmp_path, capsys):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path, rep_path = tmp_path / "op.json", tmp_path / "rep.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        code, out, err = run(capsys, "verify", str(op_path), set_path,
+                             "--cap", "3", "--out", str(rep_path))
+        assert (code, out) == (3, "")
+        assert err == "error: composite dimension 2**2 = 4 exceeds cap 3; raise the cap to proceed\n"
+        assert not rep_path.exists()
+        code, _, _ = run(capsys, "verify", str(op_path), set_path, "--cap", "4",
+                         "--out", str(rep_path))
+        assert code == 0 and rep_path.exists()
 
     def test_overflowing_entry_exits_2(self, tmp_path, capsys):
         set_path = write_demo(tmp_path, "orth2")

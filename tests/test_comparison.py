@@ -23,7 +23,7 @@ from mixcomp.errors import (
     TupleTooShortError,
 )
 from mixcomp.linalg import Tolerances, kron, kron_all, min_eigenvalue
-from mixcomp.oracle import TupleKind, classify_tuple, outcome_probability, verify_unambiguous
+from mixcomp.oracle import classify_tuple, outcome_probability, verify_unambiguous
 from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
 
 EQ26 = demo_set("eq26")
@@ -230,7 +230,7 @@ class TestBuildM2Pair:
         m2 = build_m2_pair(ORTH2, 3)
         expected = kron_all([proj([0, 1]), proj([1, 0]), np.eye(2)])
         assert np.max(np.abs(m2.matrix - expected)) < 1e-12
-        una = verify_unambiguous(m2, TupleKind.IDENTICAL, ORTH2)
+        una = verify_unambiguous(m2, ORTH2)
         assert una.ok
 
     def test_eq26_lacks_structural_condition(self):

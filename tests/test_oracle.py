@@ -20,9 +20,10 @@ from mixcomp.comparison import (
     build_m2_product,
     build_maximal,
 )
-from mixcomp.errors import CapExceededError, ShapeError
+from mixcomp.errors import ShapeError
 from mixcomp.linalg import Tolerances, kron_all, trace_product
 from mixcomp.oracle import (
+    TUPLE_CLASSES,
     TupleClass,
     TupleKind,
     classify_tuple,
@@ -82,11 +83,17 @@ class TestTupleClassification:
         assert t.kind is TupleKind.DIFFERENT
         assert t.pairwise_distinct
 
-    def test_inconsistent_fields_rejected(self):
-        with pytest.raises(ShapeError):
-            TupleClass(indices=(0, 0), kind=TupleKind.DIFFERENT, pairwise_distinct=False)
-        with pytest.raises(ShapeError):
-            TupleClass(indices=(0, 1), kind=TupleKind.DIFFERENT, pairwise_distinct=False)
+    @pytest.mark.parametrize("indices,kind,distinct", [
+        ((1,), TupleKind.IDENTICAL, True),
+        ((0, 0), TupleKind.IDENTICAL, False),
+        ((0, 1), TupleKind.DIFFERENT, True),
+        ((1, 0, 1), TupleKind.DIFFERENT, False),
+        ((2, 0, 1), TupleKind.DIFFERENT, True),
+    ])
+    def test_fields_follow_the_indices(self, indices, kind, distinct):
+        t = TupleClass(indices)
+        assert (t.kind, t.pairwise_distinct) == (kind, distinct)
+        assert classify_tuple(indices) == t
 
     def test_empty_tuple_rejected(self):
         with pytest.raises(ShapeError):
@@ -151,11 +158,6 @@ class TestOutcomeProbability:
         with pytest.raises(ShapeError):
             outcome_probability(m, classify_tuple((0, 1)), EQ26)
 
-    def test_cap_enforced(self):
-        m = identity_operator(2, 2)
-        with pytest.raises(CapExceededError):
-            outcome_probability(m, classify_tuple((0, 1)), ORTH2, cap=2)
-
     @pytest.mark.parametrize("d,k,n", [(2, 3, 4), (3, 3, 3), (4, 2, 3), (2, 3, 7), (3, 4, 5)])
     def test_matches_the_trace_product_route(self, d, k, n):
         # S^T formed from the transposed states gives the bits of
@@ -172,27 +174,22 @@ class TestOutcomeProbability:
 class TestVerifyUnambiguous:
     def test_m1_on_orth2(self):
         m1 = build_m1(ORTH2, 2, 0)
-        res = verify_unambiguous(m1, TupleKind.DIFFERENT, ORTH2, 2)
+        res = verify_unambiguous(m1, ORTH2)
         assert res.ok
         assert res.worst_probability <= 1e-9
 
     def test_identity_fails_with_lex_first_worst_tuple(self):
         m = identity_operator(2, 2)
-        res = verify_unambiguous(m, TupleKind.IDENTICAL, ORTH2, 2)
+        res = verify_unambiguous(m, ORTH2)
         assert not res.ok
         assert res.worst_tuple == (0, 0)
         assert res.worst_probability == pytest.approx(1.0)
-
-    def test_n_mismatch_rejected(self):
-        m1 = build_m1(ORTH2, 2, 0)
-        with pytest.raises(ShapeError):
-            verify_unambiguous(m1, TupleKind.DIFFERENT, ORTH2, 3)
 
 
 class TestVerifyNontrivial:
     def test_maximal_m2_on_eq26_n3(self):
         m = build_maximal(EQ26, 3, OperatorKind.M2)
-        res = verify_nontrivial(m, TupleKind.DIFFERENT, EQ26, 3)
+        res = verify_nontrivial(m, EQ26)
         assert res.ok
         assert res.best_probability >= 0.25 - 1e-9
         assert res.best_distinct_probability >= 0.25 - 1e-9
@@ -200,20 +197,20 @@ class TestVerifyNontrivial:
 
     def test_maximal_m2_on_eq26_n2_is_trivial(self):
         m = build_maximal(EQ26, 2, OperatorKind.M2)
-        res = verify_nontrivial(m, TupleKind.DIFFERENT, EQ26, 2)
+        res = verify_nontrivial(m, EQ26)
         assert not res.ok
 
     def test_zero_operator_is_trivial(self):
         z = MeasurementOperator(
             n=2, dim=2, matrix=np.zeros((4, 4)), provenance=Provenance.M2_MAXIMAL
         )
-        res = verify_nontrivial(z, TupleKind.DIFFERENT, ORTH2, 2)
+        res = verify_nontrivial(z, ORTH2)
         assert not res.ok
         assert res.best_probability <= 1e-9
 
     def test_distinct_tuple_impossible_when_n_exceeds_k(self):
         m2 = build_m2_pair(ORTH2, 3)
-        res = verify_nontrivial(m2, TupleKind.DIFFERENT, ORTH2, 3)
+        res = verify_nontrivial(m2, ORTH2)
         assert res.ok
         assert res.best_distinct_probability is None
         assert res.best_distinct_tuple is None
@@ -231,13 +228,13 @@ class TestProbabilityVectorKept:
         monkeypatch.setattr(oracle, "_class_max", spy)
         cs = demo_set("eq26")
         m = build_m2_product(cs, 3)
-        verify_unambiguous(m, TupleKind.IDENTICAL, cs)
-        verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        verify_unambiguous(m, cs)
+        verify_nontrivial(m, cs)
         assert len(seen) == 3
         assert all(p is seen[0] for p in seen)
         assert not seen[0].flags.writeable
         # an equal set that is a new object gets its own vector
-        verify_unambiguous(m, TupleKind.IDENTICAL, demo_set("eq26"))
+        verify_unambiguous(m, demo_set("eq26"))
         assert seen[-1] is not seen[0]
         assert np.array_equal(seen[-1], seen[0])
 
@@ -320,21 +317,36 @@ def assert_same_max(got_p, got_t, ref_p, ref_t, cs, n, kind, distinct, tol):
     assert cls.kind is kind and (cls.pairwise_distinct or not distinct)
 
 
+def twins(m):
+    """The M1 and M2 operators over m's matrix, each with its forbidden and allowed class.
+
+    The classes are spelled out here, not read from the oracle's table, so that
+    between them the twins check both class masks of both verdicts.
+    """
+    return [
+        (MeasurementOperator(n=m.n, dim=m.dim, matrix=m.matrix, provenance=prov), *classes)
+        for prov, classes in (
+            (Provenance.M1_MAXIMAL, (TupleKind.DIFFERENT, TupleKind.IDENTICAL)),
+            (Provenance.M2_MAXIMAL, (TupleKind.IDENTICAL, TupleKind.DIFFERENT)),
+        )
+    ]
+
+
 def assert_scans_agree(m, cs, tol=None):
     tol = tol or Tolerances()
-    for kind in TupleKind:
-        ref = loop_unambiguous(m, kind, cs, tol)
-        got = verify_unambiguous(m, kind, cs, tol=tol)
+    for twin, forbidden, allowed in twins(m):
+        ref = loop_unambiguous(twin, forbidden, cs, tol)
+        got = verify_unambiguous(twin, cs, tol)
         assert got.ok == ref[0]
         assert_same_max(got.worst_probability, got.worst_tuple, ref[1], ref[2],
-                        cs, m.n, kind, False, tol)
-        ref = loop_nontrivial(m, kind, cs, tol)
-        got = verify_nontrivial(m, kind, cs, tol=tol)
+                        cs, m.n, forbidden, False, tol)
+        ref = loop_nontrivial(twin, allowed, cs, tol)
+        got = verify_nontrivial(twin, cs, tol)
         assert got.ok == ref[0]
         assert_same_max(got.best_probability, got.best_tuple, ref[1], ref[2],
-                        cs, m.n, kind, False, tol)
+                        cs, m.n, allowed, False, tol)
         assert_same_max(got.best_distinct_probability, got.best_distinct_tuple,
-                        ref[3], ref[4], cs, m.n, kind, True, tol)
+                        ref[3], ref[4], cs, m.n, allowed, True, tol)
 
 
 def random_contraction(dim, seed, scale=1.0):
@@ -413,8 +425,22 @@ class TestScreenedScanMatchesTupleLoop:
         m = MeasurementOperator(n=1, dim=3, matrix=random_contraction(3, 22),
                                 provenance=Provenance.M1_MAXIMAL)
         assert_scans_agree(m, cs)
-        empty = verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        empty = verify_nontrivial(twins(m)[1][0], cs)
         assert (empty.ok, empty.best_probability, empty.best_tuple) == (False, 0.0, ())
+
+    def test_twins_scan_opposite_classes(self):
+        # one matrix: the class the M1 twin must never fire on is the one the M2 twin serves
+        cs = gaussian_set(2, 3, 71)
+        m = MeasurementOperator(n=3, dim=2, matrix=random_contraction(8, 72),
+                                provenance=Provenance.M2_MAXIMAL)
+        (m1, *m1_classes), (m2, *m2_classes) = twins(m)
+        assert list(TUPLE_CLASSES[m1.kind]) == m1_classes
+        assert list(TUPLE_CLASSES[m2.kind]) == m2_classes
+        for a, b in ((m1, m2), (m2, m1)):
+            una, nt = verify_unambiguous(a, cs), verify_nontrivial(b, cs)
+            assert (una.worst_probability, una.worst_tuple) == (nt.best_probability, nt.best_tuple)
+        assert classify_tuple(verify_unambiguous(m1, cs).worst_tuple).kind is TupleKind.DIFFERENT
+        assert classify_tuple(verify_unambiguous(m2, cs).worst_tuple).kind is TupleKind.IDENTICAL
 
     def test_identity_operator_ties_everywhere(self):
         for cs, n in ((EQ26, 3), (ORTH2, 4), (gaussian_set(2, 4, 31), 3)):
@@ -452,6 +478,6 @@ class TestScreenedScanMatchesTupleLoop:
         cs = gaussian_set(2, 3, 51)
         m = MeasurementOperator(n=5, dim=2, matrix=random_contraction(32, 52),
                                 provenance=Provenance.M2_MAXIMAL)
-        verify_unambiguous(m, TupleKind.IDENTICAL, cs)
-        verify_nontrivial(m, TupleKind.DIFFERENT, cs)
+        verify_unambiguous(m, cs)
+        verify_nontrivial(m, cs)
         assert 0 < len(calls) <= 10 < 3**5
