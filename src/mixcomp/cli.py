@@ -43,7 +43,6 @@ from .oracle import TUPLE_CLASSES, verify_nontrivial, verify_unambiguous
 from .states import DEMO_NAMES, CandidateSet, demo_set, random_density
 from .states import candidate_set as make_candidate_set
 
-DEFAULT_GLOBAL_TOL = 1e-9
 ENV_TOL = "MIXCOMP_TOL"
 
 
@@ -54,23 +53,19 @@ def _clamp01(p: float) -> float:
 def _resolve_tolerances(tol_flag: float | None) -> Tolerances:
     """Flag beats the MIXCOMP_TOL environment variable beats the default.
 
-    ``Tolerances.from_global`` rejects a value that is not positive and
-    finite, whichever source it came from.
+    ``Tolerances`` rejects a value that is not positive and finite, whichever
+    source it came from.
     """
     if tol_flag is not None:
-        value = tol_flag
-    else:
-        raw = os.environ.get(ENV_TOL)
-        if raw is None:
-            value = DEFAULT_GLOBAL_TOL
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                raise InputError(
-                    f"{ENV_TOL} must be a number, got {raw!r}"
-                ) from None
-    return Tolerances.from_global(value)
+        return Tolerances(tol_flag)
+    raw = os.environ.get(ENV_TOL)
+    if raw is None:
+        return Tolerances()
+    try:
+        value = float(raw)
+    except ValueError:
+        raise InputError(f"{ENV_TOL} must be a number, got {raw!r}") from None
+    return Tolerances(value)
 
 
 def _best_fields(nt) -> dict:
@@ -141,6 +136,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     """
     report = check_conditions(cs, tol)
     r = len(report.survivors)
+    structural = report.m2_structural
 
     operators = []
     existence = {}
@@ -202,9 +198,9 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
             "m1_witnesses": list(report.m1_witnesses),
             "m2_necessary": report.m2_necessary,
             "m2_failures": list(report.m2_failures),
-            "m2_structural": report.m2_structural,
+            "m2_structural": structural,
             "structural_witness": report.structural_witness,
-            "corollary1": report.corollary1,
+            "corollary1": structural,
             "per_candidate": [
                 {
                     "index": i,

@@ -253,23 +253,40 @@ class ConditionReport:
     ``escapes_others[i]`` is true when Supp(sigma_i) is not contained in
     ``others[i]``; ``others_escape[i]`` is true when ``others[i]`` is not
     contained in Supp(sigma_i). ``survivors`` are the candidates left by
-    support-containment reduction. All indices are 0-based.
+    support-containment reduction. The verdicts are properties derived from
+    those two per-candidate facts on each read; ``m2_structural`` is the
+    paper's Corollary 1. All indices are 0-based.
     """
 
-    k: int
-    dim: int
     escapes_others: tuple[bool, ...]
     others_escape: tuple[bool, ...]
-    m1_condition: bool
-    m1_witnesses: tuple[int, ...]
-    m2_necessary: bool
-    m2_failures: tuple[int, ...]
-    m2_structural: bool
-    structural_witness: int | None
-    corollary1: bool
     survivors: tuple[int, ...]
     supports: tuple[Subspace, ...] = field(repr=False, compare=False)
     others: tuple[Subspace, ...] = field(repr=False, compare=False)
+
+    @property
+    def m1_witnesses(self) -> tuple[int, ...]:
+        return tuple(i for i, e in enumerate(self.escapes_others) if e)
+
+    @property
+    def m1_condition(self) -> bool:
+        return any(self.escapes_others)
+
+    @property
+    def m2_failures(self) -> tuple[int, ...]:
+        return tuple(i for i, e in enumerate(self.others_escape) if not e)
+
+    @property
+    def m2_necessary(self) -> bool:
+        return all(self.others_escape)
+
+    @property
+    def m2_structural(self) -> bool:
+        return self.m1_condition and self.m2_necessary
+
+    @property
+    def structural_witness(self) -> int | None:
+        return self.m1_witnesses[0] if self.m2_structural else None
 
 
 def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
@@ -287,41 +304,20 @@ def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> Conditi
     t = tol or Tolerances()
     if t in cs._conditions:
         return cs._conditions[t]
-    k, d = cs.k, cs.dim
-    supports = tuple(support_of(st, t.rank, t.sym) for st in cs.states)
+    k = cs.k
+    supports = tuple(support_of(st, t) for st in cs.states)
     others = tuple(
-        subspace_sum([s for j, s in enumerate(supports) if j != i], t.rank, ambient_dim=d)
-        for i in range(k)
+        subspace_sum([s for j, s in enumerate(supports) if j != i], t) for i in range(k)
     )
-    escapes = tuple(not contains(others[i], supports[i], t.rank) for i in range(k))
-    others_escape = tuple(not contains(supports[i], others[i], t.rank) for i in range(k))
-    inside = [[contains(supports[j], supports[i], t.rank) for j in range(k)] for i in range(k)]
+    escapes = tuple(not contains(others[i], supports[i], t) for i in range(k))
+    others_escape = tuple(not contains(supports[i], others[i], t) for i in range(k))
+    inside = [[contains(supports[j], supports[i], t) for j in range(k)] for i in range(k)]
     survivors = tuple(
         i for i in range(k)
         if not any(j != i and inside[i][j] and (not inside[j][i] or j < i) for j in range(k))
     )
-    witnesses = tuple(i for i, e in enumerate(escapes) if e)
-    failures = tuple(i for i, e in enumerate(others_escape) if not e)
-    m1 = bool(witnesses)
-    m2n = not failures
-    structural = m1 and m2n
-    report = cs._conditions[t] = ConditionReport(
-        k=k,
-        dim=d,
-        escapes_others=escapes,
-        others_escape=others_escape,
-        m1_condition=m1,
-        m1_witnesses=witnesses,
-        m2_necessary=m2n,
-        m2_failures=failures,
-        m2_structural=structural,
-        structural_witness=witnesses[0] if structural else None,
-        corollary1=structural,
-        survivors=survivors,
-        supports=supports,
-        others=others,
-    )
-    return report
+    cs._conditions[t] = ConditionReport(escapes, others_escape, survivors, supports, others)
+    return cs._conditions[t]
 
 
 def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[int, ...]:
@@ -378,16 +374,17 @@ def build_m1(
     Raises ConditionNotMetError when i0 is not a witness or none exists.
     """
     t, report = _prepare(cs, n, tol, cap)
-    if not report.m1_condition:
+    witnesses = report.m1_witnesses
+    if not witnesses:
         raise ConditionNotMetError(
             "no candidate's support escapes the span of the others; "
             "a non-trivial identical-outcome operator does not exist"
         )
     if i0 is None:
-        i0 = report.m1_witnesses[0]
-    elif i0 not in report.m1_witnesses:
+        i0 = witnesses[0]
+    elif i0 not in witnesses:
         raise ConditionNotMetError(
-            f"index {i0} is not a witness; witnesses are {list(report.m1_witnesses)}"
+            f"index {i0} is not a witness; witnesses are {list(witnesses)}"
         )
     p = projector(complement(report.others[i0]))
     matrix = kron_all([p] * n)
@@ -410,10 +407,11 @@ def build_m2_product(
     some slot; non-trivial because survivor supports are incomparable.
     """
     t, report = _prepare(cs, n, tol, cap)
-    if not report.m2_necessary:
+    failures = report.m2_failures
+    if failures:
         raise ConditionNotMetError(
             f"the span of the other supports is contained in the support of "
-            f"candidate index {report.m2_failures[0]}; no non-trivial "
+            f"candidate index {failures[0]}; no non-trivial "
             f"different-outcome operator exists"
         )
     r = len(report.survivors)
@@ -441,13 +439,13 @@ def build_m2_pair(
     every n >= 2 once the structural condition holds at witness i0.
     """
     t, report = _prepare(cs, n, tol, cap)
-    if not report.m2_structural:
+    i0 = report.structural_witness
+    if i0 is None:
         raise ConditionNotMetError(
             "structural condition fails: need every support to escape the "
             "others' span collectively and at least one support to escape "
             "it individually"
         )
-    i0 = report.structural_witness
     first = projector(complement(report.supports[i0]))
     second = projector(complement(report.others[i0]))
     factors = [first, second] + [identity(cs.dim)] * (n - 2)
@@ -590,7 +588,7 @@ def build_maximal(
         else:
             tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
         q = _tuple_span(tuples, supports, t.rank, full_dim, offered)
-        matrix = projector(complement(Subspace(full_dim, q)))
+        matrix = projector(complement(Subspace(q)))
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
     return _self_check(op, t)
 
@@ -637,13 +635,13 @@ def assemble_povm(
         )
     eye = identity(m1.dim ** m1.n)
     rest = eye - m1.matrix - m2.matrix
-    lowest = min_eigenvalue(rest, t.sym)
+    lowest = min_eigenvalue(rest, t)
     if lowest >= -t.neg:
         alpha = beta = 1.0
     else:
         alpha = beta = 0.5
         rest = eye - 0.5 * m1.matrix - 0.5 * m2.matrix
-        lowest = min_eigenvalue(rest, t.sym)
+        lowest = min_eigenvalue(rest, t)
         if lowest < -t.neg:
             raise InternalCheckError(
                 "inconclusive operator is not PSD even after halving; "

@@ -16,37 +16,28 @@ import numpy as np
 
 from .errors import NotHermitianError, ShapeError
 
-DEFAULT_TOL_SYM = 1e-10
-DEFAULT_TOL_RANK = 1e-9
-DEFAULT_TOL_NEG = 1e-9
-DEFAULT_TOL_PROB = 1e-9
-
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds used across the library.
+    """The one numerical threshold of the library and the roles read from it.
 
-    sym   Hermiticity check, max |A - A^dagger|.
-    rank  Relative eigenvalue / column-norm cutoff for support and rank.
-    neg   How negative an eigenvalue may be before PSD fails.
-    prob  Probabilities below this count as zero.
+    value  The global tolerance, positive and finite.
+    sym    Hermiticity check, max |A - A^dagger|: the stricter value / 10.
+    rank   Relative eigenvalue / column-norm cutoff for support and rank.
+    neg    How negative an eigenvalue may be before PSD fails.
+    prob   Probabilities below this count as zero.
+
+    The four roles are read-only properties of ``value``.
     """
 
-    sym: float = DEFAULT_TOL_SYM
-    rank: float = DEFAULT_TOL_RANK
-    neg: float = DEFAULT_TOL_NEG
-    prob: float = DEFAULT_TOL_PROB
+    value: float = 1e-9
 
-    @classmethod
-    def from_global(cls, tol: float) -> "Tolerances":
-        """Scale every threshold from a single knob.
+    sym = property(lambda self: self.value / 10.0)
+    rank = neg = prob = property(lambda self: self.value)
 
-        The rank, negativity and probability cutoffs are set to ``tol`` and
-        the stricter Hermiticity check to ``tol / 10``.
-        """
-        if not (tol > 0.0 and np.isfinite(tol)):
-            raise ShapeError(f"tolerance must be positive and finite, got {tol!r}")
-        return cls(sym=tol / 10.0, rank=tol, neg=tol, prob=tol)
+    def __post_init__(self):
+        if not (self.value > 0.0 and math.isfinite(self.value)):
+            raise ShapeError(f"tolerance must be positive and finite, got {self.value!r}")
 
 
 def as_matrix(values, context: str = "matrix") -> np.ndarray:
@@ -82,12 +73,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-def require_hermitian(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity and return the symmetrized matrix (A + A^dagger)/2."""
+def require_hermitian(a, tol: Tolerances | None = None, context: str = "matrix") -> np.ndarray:
+    """Validate Hermiticity against tol.sym; return the symmetrized (A + A^dagger)/2."""
     m = as_matrix(a, context)
     res = herm_residual(m)
-    if res > tol_sym:
-        raise NotHermitianError(res, tol_sym, context)
+    sym = (tol or Tolerances()).sym
+    if res > sym:
+        raise NotHermitianError(res, sym, context)
     return _hermitian_part(m)
 
 
@@ -115,15 +107,16 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(kron, factors[1:], np.asarray(factors[0], dtype=np.complex128))
 
 
-def hermitian_eigen(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(a, tol: Tolerances | None = None,
+                    context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is validated against ``tol_sym`` and symmetrized before the
+    The input is validated against ``tol.sym`` and symmetrized before the
     solve, so tiny anti-Hermitian noise cannot leak into the spectrum.
     Returns the (w, v) of np.linalg.eigh: real ascending eigenvalues and
     matching orthonormal eigenvector columns.
     """
-    return np.linalg.eigh(require_hermitian(a, tol_sym, context))
+    return np.linalg.eigh(require_hermitian(a, tol, context))
 
 
 def _mgs_span(blocks: Iterable[np.ndarray], threshold: float, dim: int, cap: int) -> np.ndarray:
@@ -165,10 +158,10 @@ def _mgs_span(blocks: Iterable[np.ndarray], threshold: float, dim: int, cap: int
     return q[:, :m]
 
 
-def orthonormal_columns(vectors: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK) -> np.ndarray:
+def orthonormal_columns(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
     """Orthonormal basis for the span of the columns of a (d, m) array.
 
-    m = 0 is legal. The drop threshold is ``tol_rank`` times the largest
+    m = 0 is legal. The drop threshold is ``tol.rank`` times the largest
     input column norm, so the rank decision is scale free.
     """
     cols = np.asarray(vectors, dtype=np.complex128)
@@ -180,21 +173,14 @@ def orthonormal_columns(vectors: np.ndarray, tol_rank: float = DEFAULT_TOL_RANK)
     scale = float(np.max(np.linalg.norm(cols, axis=0), initial=0.0))
     if not scale:
         return np.zeros((d, 0), dtype=np.complex128)
-    return _mgs_span([cols], tol_rank * scale, d, min(d, m))
+    return _mgs_span([cols], (tol or Tolerances()).rank * scale, d, min(d, m))
 
 
-def min_eigenvalue(a, tol_sym: float = DEFAULT_TOL_SYM, context: str = "matrix") -> float:
-    w, _ = hermitian_eigen(a, tol_sym, context)
+def min_eigenvalue(a, tol: Tolerances | None = None, context: str = "matrix") -> float:
+    w, _ = hermitian_eigen(a, tol, context)
     return float(w[0])
 
 
 def identity(d: int) -> np.ndarray:
     return np.eye(d, dtype=np.complex128)
-
-
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(A B) without forming the product matrix."""
-    if a.shape != b.shape:
-        raise ShapeError(f"trace_product shapes differ: {a.shape} vs {b.shape}")
-    return complex(np.sum(a * b.T))
 

@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CandidateSetError, NotPSDError, ShapeError, TraceError
-from .linalg import DEFAULT_TOL_NEG, DEFAULT_TOL_SYM, require_hermitian
+from .linalg import Tolerances, require_hermitian
 
 TRACE_TOL = 1e-9
 DUPLICATE_TOL = 1e-9
@@ -28,10 +28,11 @@ class DensityMatrix:
     _eigh: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = require_hermitian(self.matrix, DEFAULT_TOL_SYM, context="density matrix")
+        t = Tolerances()
+        m = require_hermitian(self.matrix, t, context="density matrix")
         w, v = np.linalg.eigh(m)
-        if float(w[0]) < -DEFAULT_TOL_NEG:
-            raise NotPSDError(float(w[0]), DEFAULT_TOL_NEG, context="density matrix")
+        if float(w[0]) < -t.neg:
+            raise NotPSDError(float(w[0]), t.neg, context="density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise TraceError(tr, TRACE_TOL, context="density matrix")

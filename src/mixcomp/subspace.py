@@ -13,13 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import (
-    DEFAULT_TOL_RANK,
-    DEFAULT_TOL_SYM,
-    dagger,
-    hermitian_eigen,
-    orthonormal_columns,
-)
+from .linalg import Tolerances, dagger, hermitian_eigen, orthonormal_columns
 from .states import DensityMatrix
 
 
@@ -28,19 +22,17 @@ class Subspace:
     """A linear subspace of C^d.
 
     ``basis`` is a read-only (d, r) array with orthonormal columns; r = 0
-    encodes the zero subspace. Instances are value objects: construct them
-    through the factories below rather than mutating.
+    encodes the zero subspace and d is the ambient dimension. Instances are
+    value objects: construct them through the factories below rather than
+    mutating.
     """
 
-    ambient_dim: int
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=np.complex128)
-        if b.ndim != 2 or b.shape[0] != self.ambient_dim:
-            raise ShapeError(
-                f"basis shape {b.shape} does not match ambient dimension {self.ambient_dim}"
-            )
+        if b.ndim != 2:
+            raise ShapeError(f"basis must be a (d, r) array, got shape {b.shape}")
         gram = dagger(b) @ b
         if b.shape[1] and float(np.max(np.abs(gram - np.eye(b.shape[1])))) > 1e-8:
             raise ShapeError("basis columns are not orthonormal")
@@ -49,48 +41,47 @@ class Subspace:
         object.__setattr__(self, "basis", b)
 
     @property
+    def ambient_dim(self) -> int:
+        return self.basis.shape[0]
+
+    @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.zeros((ambient_dim, 0), dtype=np.complex128))
+        return cls(np.zeros((ambient_dim, 0), dtype=np.complex128))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, np.eye(ambient_dim, dtype=np.complex128))
+        return cls(np.eye(ambient_dim, dtype=np.complex128))
 
 
-def support_of(matrix, tol_rank: float = DEFAULT_TOL_RANK,
-               tol_sym: float = DEFAULT_TOL_SYM) -> Subspace:
+def support_of(matrix, tol: Tolerances | None = None) -> Subspace:
     """Support of a Hermitian PSD matrix or of a DensityMatrix.
 
-    Eigenvectors whose eigenvalue exceeds ``tol_rank`` times the largest
+    Eigenvectors whose eigenvalue exceeds ``tol.rank`` times the largest
     eigenvalue span the support. The all-zero matrix has empty support. A
     DensityMatrix lends the eigh its validation already ran: its matrix is
     exactly Hermitian, so validating and symmetrizing it again would hand
     eigh the same bits.
     """
+    t = tol or Tolerances()
     if isinstance(matrix, DensityMatrix):
         w, v = matrix._eigh
     else:
-        w, v = hermitian_eigen(matrix, tol_sym, context="support_of input")
-    d = v.shape[0]
+        w, v = hermitian_eigen(matrix, t, context="support_of input")
     top = float(np.max(np.abs(w))) if w.size else 0.0
     if top == 0.0:
-        return Subspace.zero(d)
-    keep = np.abs(w) > tol_rank * top
-    return Subspace(d, v[:, keep])
+        return Subspace.zero(v.shape[0])
+    return Subspace(v[:, np.abs(w) > t.rank * top])
 
 
-def subspace_sum(spaces, tol_rank: float = DEFAULT_TOL_RANK,
-                 ambient_dim: int | None = None) -> Subspace:
-    """Span of the union of the given subspaces."""
+def subspace_sum(spaces, tol: Tolerances | None = None) -> Subspace:
+    """Span of the union of a non-empty list of subspaces."""
     spaces = list(spaces)
     if not spaces:
-        if ambient_dim is None:
-            raise ShapeError("empty sum needs an explicit ambient_dim")
-        return Subspace.zero(ambient_dim)
+        raise ShapeError("subspace_sum needs at least one subspace")
     d = spaces[0].ambient_dim
     for s in spaces:
         if s.ambient_dim != d:
@@ -98,7 +89,7 @@ def subspace_sum(spaces, tol_rank: float = DEFAULT_TOL_RANK,
                 f"subspace_sum mixes ambient dimensions {d} and {s.ambient_dim}"
             )
     stacked = np.hstack([s.basis for s in spaces])
-    return Subspace(d, orthonormal_columns(stacked, tol_rank))
+    return Subspace(orthonormal_columns(stacked, tol))
 
 
 def complement(space: Subspace) -> Subspace:
@@ -113,14 +104,14 @@ def complement(space: Subspace) -> Subspace:
     if r == d:
         return Subspace.zero(d)
     _, _, vh = np.linalg.svd(dagger(space.basis), full_matrices=True)
-    return Subspace(d, dagger(vh)[:, r:])
+    return Subspace(dagger(vh)[:, r:])
 
 
-def contains(outer: Subspace, inner: Subspace, tol: float = DEFAULT_TOL_RANK) -> bool:
+def contains(outer: Subspace, inner: Subspace, tol: Tolerances | None = None) -> bool:
     """True when every basis vector of ``inner`` lies in ``outer``.
 
     Decided by the projector residual max |(I - P_outer) b| over inner basis
-    columns. The zero subspace is contained in everything.
+    columns against tol.rank. The zero subspace is contained in everything.
     """
     if outer.ambient_dim != inner.ambient_dim:
         raise ShapeError(
@@ -132,7 +123,7 @@ def contains(outer: Subspace, inner: Subspace, tol: float = DEFAULT_TOL_RANK) ->
         return False
     b = inner.basis
     residual = b - outer.basis @ (dagger(outer.basis) @ b)
-    return float(np.max(np.abs(residual))) <= tol
+    return float(np.max(np.abs(residual))) <= (tol or Tolerances()).rank
 
 
 def projector(space: Subspace) -> np.ndarray:

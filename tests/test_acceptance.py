@@ -53,7 +53,6 @@ def corpus_results(corpus):
                     "m1_condition": rep.m1_condition,
                     "m2_necessary": rep.m2_necessary,
                     "m2_structural": rep.m2_structural,
-                    "corollary1": rep.corollary1,
                     "exists_m1": decide_exists(cs, n, OperatorKind.M1),
                     "exists_m2": decide_exists(cs, n, OperatorKind.M2),
                 }
@@ -228,7 +227,7 @@ def test_criterion_8_simultaneous_existence(corpus_results):
     assembled = 0
     for x in results:
         both = x["exists_m1"] and x["exists_m2"]
-        if both != x["corollary1"]:
+        if both != x["m2_structural"]:
             mismatches.append(x["name"])
             continue
         if not both:
@@ -274,7 +273,7 @@ def test_criterion_9_kernel_properties():
 
         r = int(rng.integers(1, d + 1))
         vecs = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
-        s = Subspace(d, orthonormal_columns(vecs))
+        s = Subspace(orthonormal_columns(vecs))
         p = projector(s)
         idem_worst = max(idem_worst, float(np.max(np.abs(p @ p - p))))
 

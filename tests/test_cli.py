@@ -100,7 +100,7 @@ class TestAnalyze:
         assert len(calls) == 3
         analyze_set(cs, 3, Tolerances(), DEFAULT_CAP)
         assert len(calls) == 3
-        analyze_set(cs, 3, Tolerances.from_global(1e-8), DEFAULT_CAP)
+        analyze_set(cs, 3, Tolerances(1e-8), DEFAULT_CAP)
         assert len(calls) == 6
 
     @pytest.mark.parametrize("cs,n,zero", [
@@ -182,7 +182,7 @@ class TestAnalyze:
             np.diag([0.0, 0.28511536057937426, 0.7148846394206257]),
             np.diag([0.40036805049743485, 0.0, 0.5996319495025652]),
         ])
-        rep = analyze_set(cs, 3, Tolerances.from_global(3e-2), DEFAULT_CAP)
+        rep = analyze_set(cs, 3, Tolerances(3e-2), DEFAULT_CAP)
         assert rep["conditions"]["m1_witnesses"] == [1]
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import diagonal_set, gaussian_set
 
 from mixcomp.comparison import (
     MeasurementOperator,
@@ -25,6 +26,7 @@ from mixcomp.errors import (
 from mixcomp.linalg import Tolerances, kron, kron_all, min_eigenvalue
 from mixcomp.oracle import classify_tuple, outcome_probability, verify_unambiguous
 from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
+from mixcomp.subspace import contains
 
 EQ26 = demo_set("eq26")
 ORTH2 = demo_set("orth2")
@@ -59,7 +61,6 @@ class TestConditionChecks:
         assert rep.m2_failures == ()
         assert rep.m2_structural is False
         assert rep.structural_witness is None
-        assert rep.corollary1 is False
         assert rep.escapes_others == (False, False, False)
         assert rep.others_escape == (True, True, True)
 
@@ -70,7 +71,6 @@ class TestConditionChecks:
         assert rep.m2_necessary is True
         assert rep.m2_structural is True
         assert rep.structural_witness == 0
-        assert rep.corollary1 is True
 
     def test_nested2_verdicts(self):
         rep = check_conditions(NESTED2)
@@ -79,7 +79,6 @@ class TestConditionChecks:
         assert rep.m2_necessary is False
         assert rep.m2_failures == (1,)
         assert rep.m2_structural is False
-        assert rep.corollary1 is False
 
     def test_maximally_mixed_member_kills_m2(self):
         from mixcomp.states import maximally_mixed
@@ -94,8 +93,49 @@ class TestConditionChecks:
                 [random_density(d, 1 + seed % d, 10 * seed), random_density(d, 1 + (seed + 1) % d, 10 * seed + 5)]
             )
             rep = check_conditions(cs)
-            assert rep.corollary1 == (rep.m1_condition and rep.m2_necessary)
-            assert rep.m2_structural == rep.corollary1
+            assert rep.m2_structural == (rep.m1_condition and rep.m2_necessary)
+
+
+SET_FAMILIES = {"gaussian": gaussian_set, "diagonal": diagonal_set}
+INVARIANCE_CASES = [(f, d, k) for f in SET_FAMILIES for d in (2, 3, 4) for k in (2, 3, 4)]
+
+
+def invariance_sets(family, d, k):
+    """Eight seeded sets of one family, d and k."""
+    return [SET_FAMILIES[family](d, k, 40_000 + 1000 * d + 100 * k + s) for s in range(8)]
+
+
+class TestConditionInvariance:
+    """The verdicts are geometric: a common unitary leaves them, a relabelling permutes them."""
+
+    @pytest.mark.parametrize("family,d,k", INVARIANCE_CASES)
+    def test_unitary_conjugation_leaves_verdicts(self, family, d, k):
+        for seed, cs in enumerate(invariance_sets(family, d, k)):
+            rng = np.random.default_rng(seed)
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            turned = candidate_set([u @ cs.matrix(i) @ u.conj().T for i in range(k)])
+            rep, rot = check_conditions(cs), check_conditions(turned)
+            assert rot.m1_witnesses == rep.m1_witnesses
+            assert rot.m2_failures == rep.m2_failures
+            assert rot.survivors == rep.survivors
+
+    @pytest.mark.parametrize("family,d,k", INVARIANCE_CASES)
+    def test_permuting_candidates_permutes_verdicts(self, family, d, k):
+        for seed, cs in enumerate(invariance_sets(family, d, k)):
+            perm = np.random.default_rng(seed).permutation(k)
+            moved = candidate_set([cs.states[p] for p in perm])
+            rep, mov = check_conditions(cs), check_conditions(moved)
+            assert tuple(sorted(perm[a] for a in mov.m1_witnesses)) == rep.m1_witnesses
+            assert tuple(sorted(perm[a] for a in mov.m2_failures)) == rep.m2_failures
+
+            # equal supports keep their lowest index, which the permutation
+            # moves: compare the survivors by the support each one stands for
+            def stands_for(i):
+                return min(j for j in range(k) if contains(rep.supports[i], rep.supports[j])
+                           and contains(rep.supports[j], rep.supports[i]))
+
+            kept = sorted(stands_for(perm[a]) for a in mov.survivors)
+            assert kept == sorted(stands_for(i) for i in rep.survivors)
 
 
 class TestReduceCandidates:
@@ -124,7 +164,7 @@ class TestReduceCandidates:
         assert reduce_candidates(cs) == (2,)
 
     def test_survivor_supports_are_incomparable(self):
-        from mixcomp.subspace import contains, support_of
+        from mixcomp.subspace import support_of
 
         for seed in range(20):
             cs = candidate_set(
@@ -337,15 +377,15 @@ class TestProjectorCertificate:
 
     @pytest.mark.parametrize("tol,eigenvalues,fires", [
         # rank cut near < tol.rank (1 - near): the small eigenvalue x straddles it
-        *[(Tolerances(rank=1e-6), [1.0] * 4 + [0.0] * 4 + [x], x < 1e-6)
+        *[(Tolerances(1e-6), [1.0] * 4 + [0.0] * 4 + [x], x < 1e-6)
           for x in (0.5e-6, 0.9e-6, 1.1e-6, 2e-6)],
         # tol.rank (1 + near) < 1 - near: the eigenvalues at 1 straddle the cut
-        *[(Tolerances(rank=r), [1.0] * 4 + [0.0] * 5, r < 1) for r in (0.9, 0.999, 1.0, 1.1)],
+        *[(Tolerances(r), [1.0] * 4 + [0.0] * 5, r < 1) for r in (0.9, 0.999, 1.0, 1.1)],
         # D near < 1/2 with D = 9: x straddles 1/18
-        *[(Tolerances(rank=0.3), [1.0] * 4 + [0.0] * 4 + [x], x < 1 / 18)
+        *[(Tolerances(0.3), [1.0] * 4 + [0.0] * 4 + [x], x < 1 / 18)
           for x in (0.04, 0.05, 0.06, 0.08)],
         # round(tr) >= 1: a single eigenvalue near 0 or near 1, tr on either side of 1/2
-        *[(Tolerances(rank=0.3), [x] + [0.0] * 8, x > 0.5) for x in (0.03, 0.05, 0.95, 0.97)],
+        *[(Tolerances(0.3), [x] + [0.0] * 8, x > 0.5) for x in (0.03, 0.05, 0.95, 0.97)],
         # the zero matrix: no product and no eigensolve, rank 0
         (Tolerances(), [0.0] * 9, False),
     ])

@@ -21,7 +21,6 @@ from mixcomp.linalg import (
     min_eigenvalue,
     orthonormal_columns,
     require_hermitian,
-    trace_product,
 )
 from mixcomp.states import basis_state
 
@@ -40,26 +39,20 @@ def random_matrix(d, seed):
 class TestTolerances:
     def test_defaults(self):
         t = Tolerances()
-        assert t.sym == 1e-10
-        assert t.rank == 1e-9
-        assert t.neg == 1e-9
-        assert t.prob == 1e-9
+        assert t == Tolerances(1e-9)
+        assert hash(t) == hash(Tolerances(1e-9))
+        # the bits every report's tolerances block has always carried
+        assert (t.sym, t.rank, t.neg, t.prob) == (1e-10, 1e-9, 1e-9, 1e-9)
 
-    def test_from_global_scales_every_knob(self):
-        t = Tolerances.from_global(1e-6)
+    def test_every_role_scales_from_the_value(self):
+        t = Tolerances(1e-6)
         assert t.sym == 1e-7
         assert t.rank == t.neg == t.prob == 1e-6
 
-    def test_from_global_rejects_nonpositive(self):
-        with pytest.raises(ShapeError):
-            Tolerances.from_global(0.0)
-        with pytest.raises(ShapeError):
-            Tolerances.from_global(-1e-9)
-
-    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
-    def test_from_global_rejects_non_finite(self, bad):
-        with pytest.raises(ShapeError):
-            Tolerances.from_global(bad)
+    @pytest.mark.parametrize("bad", [0.0, -1e-9, float("inf"), float("-inf"), float("nan")])
+    def test_rejects_nonpositive_or_non_finite(self, bad):
+        with pytest.raises(ShapeError, match="tolerance must be positive and finite"):
+            Tolerances(bad)
 
 
 class TestKron:
@@ -349,17 +342,6 @@ class TestPsdAndRank:
         assert rank([1.0, 1e-6, 0.0]) == 2
         assert rank([1.0, 1e-12, 0.0]) == 1
         assert rank([0.0, 0.0, 0.0]) == 0
-
-
-def test_trace_product_matches_full_product():
-    a = random_matrix(5, 21)
-    b = random_matrix(5, 22)
-    assert trace_product(a, b) == pytest.approx(complex(np.trace(a @ b)))
-
-
-def test_trace_product_shape_mismatch():
-    with pytest.raises(ShapeError):
-        trace_product(np.eye(2), np.eye(3))
 
 
 def test_identity():

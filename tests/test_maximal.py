@@ -35,7 +35,7 @@ def loop_reference(cs, n, kind):
     tuples = [c for c in combos if (len(set(c)) == 1) == identical]
     offered = comparison._offered_columns(n, supports, OperatorKind(kind))
     q = _TUPLE_SPAN(tuples, supports, t.rank, full_dim, offered)
-    return projector(complement(Subspace(full_dim, q)))
+    return projector(complement(Subspace(q)))
 
 
 def span_shape_set(seed=0):
