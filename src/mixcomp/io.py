@@ -3,11 +3,15 @@
 Complex numbers are [re, im] pairs of decimal numbers, matrices are lists
 of rows. Floats go through Python's repr, which is the shortest decimal
 that round-trips, so a written set re-reads to bit-identical matrices.
+An operator file's matrix is instead one base64 string of its row-major
+little-endian complex128 bytes; readers also accept the rows form.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import sys
 from itertools import chain
 from typing import Any
@@ -77,6 +81,24 @@ def rows_to_matrix(rows: Any, context: str) -> np.ndarray:
     return np.asarray(out, dtype=np.complex128)
 
 
+def _base64_to_matrix(text: str, context: str) -> np.ndarray:
+    """Base64 of row-major little-endian complex128 bytes; 16 D**2 bytes give side D."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character that is not ASCII
+        raise InputError(f"{context}: not valid base64: {exc}") from None
+    side = math.isqrt(len(raw) // 16)
+    if side < 1 or 16 * side * side != len(raw):
+        raise InputError(f"{context}: {len(raw)} bytes are not 16*D**2 for a positive D")
+    return np.frombuffer(raw, "<c16").reshape(side, side)
+
+
+def _positive_int(value: Any, context: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise InputError(f"{context} must be a positive integer, got {value!r}")
+    return value
+
+
 def entries_to_vector(entries: Any, context: str) -> np.ndarray:
     if not isinstance(entries, list) or not entries:
         raise InputError(f"{context}: vector must be a non-empty list of [re, im] pairs")
@@ -89,7 +111,7 @@ def _require_version(obj: Any, context: str) -> None:
     if not isinstance(obj, dict):
         raise InputError(f"{context}: top level must be a JSON object")
     v = obj.get("schema_version")
-    if v != SCHEMA_VERSION:
+    if isinstance(v, bool) or v != SCHEMA_VERSION:
         raise InputError(
             f"{context}: schema_version {v!r} is not supported (expected {SCHEMA_VERSION})"
         )
@@ -113,6 +135,8 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
     if not isinstance(entries, list) or len(entries) < 2:
         raise InputError("candidate set: 'states' must be a list of at least 2 entries")
     dim = obj.get("dim")
+    if dim is not None:
+        _positive_int(dim, "candidate set: 'dim'")
     labels = []
     states = []
     for pos, entry in enumerate(entries):
@@ -141,7 +165,7 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
                 raise InputError("needs either a 'matrix' or an 'ensemble'")
         except Exception as exc:
             raise InputError(f"state '{label}': {exc}") from exc
-        if isinstance(dim, int) and state.dim != dim:
+        if dim is not None and state.dim != dim:
             raise InputError(
                 f"state '{label}' has dimension {state.dim}, file declares dim {dim}"
             )
@@ -160,7 +184,7 @@ def operator_to_obj(m: MeasurementOperator) -> dict:
         "n": m.n,
         "dim": m.dim,
         "provenance": m.provenance.value,
-        "matrix": matrix_to_rows(m.matrix),
+        "matrix": base64.b64encode(m.matrix.astype("<c16", copy=False).tobytes()).decode("ascii"),
     }
 
 
@@ -184,13 +208,13 @@ def operator_from_obj(obj: Any) -> MeasurementOperator:
             f"operator file: provenance {prov.value} is a {prov.kind.value} "
             f"construction but kind says {kind.value}"
         )
-    n = obj.get("n")
-    dim = obj.get("dim")
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"operator file: 'n' must be a positive integer, got {n!r}")
-    if not isinstance(dim, int) or dim < 1:
-        raise InputError(f"operator file: 'dim' must be a positive integer, got {dim!r}")
-    matrix = rows_to_matrix(obj.get("matrix"), "operator matrix")
+    n = _positive_int(obj.get("n"), "operator file: 'n'")
+    dim = _positive_int(obj.get("dim"), "operator file: 'dim'")
+    matrix = obj.get("matrix")
+    if isinstance(matrix, str):
+        matrix = _base64_to_matrix(matrix, "operator matrix")
+    else:
+        matrix = rows_to_matrix(matrix, "operator matrix")
     try:
         return MeasurementOperator(n=n, dim=dim, matrix=matrix, provenance=prov)
     except Exception as exc:

@@ -1,7 +1,9 @@
+import base64
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,11 @@ def write_demo(tmp_path, name):
     path = tmp_path / f"{name}.json"
     io.write_candidate_set(demo_set(name), str(path))
     return str(path)
+
+
+def b64(m):
+    """The operator-file encoding of a matrix."""
+    return base64.b64encode(np.asarray(m, "<c16").tobytes()).decode()
 
 
 class TestAnalyze:
@@ -351,7 +358,7 @@ class TestVerify:
         run(capsys, "construct", set_path, "--n", "2", "--operator", "m2",
             "--method", "eq24", "--out", str(op_path))
         obj = json.loads(op_path.read_text())
-        obj["matrix"] = io.matrix_to_rows(3.0 * np.asarray(io.rows_to_matrix(obj["matrix"], "m")))
+        obj["matrix"] = io.matrix_to_rows(3.0 * io.read_operator(str(op_path)).matrix)
         op_path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, "verify", str(op_path), set_path)
         assert code == 0
@@ -383,7 +390,9 @@ class TestVerify:
         run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
             "--method", "eq13", "--out", str(op_path))
         obj = json.loads(op_path.read_text())
-        obj["matrix"][0][1][0] += 1e-6
+        m = io.read_operator(str(op_path)).matrix.copy()
+        m[0, 1] += 1e-6
+        obj["matrix"] = io.matrix_to_rows(m)
         op_path.write_text(json.dumps(obj))
         code, out, err = run(capsys, "verify", str(op_path), set_path)
         assert code == 2
@@ -396,7 +405,9 @@ class TestVerify:
         run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
             "--method", "eq13", "--out", str(op_path))
         obj = json.loads(op_path.read_text())
-        obj["matrix"][0][1][0] += 1e-6
+        m = io.read_operator(str(op_path)).matrix.copy()
+        m[0, 1] += 1e-6
+        obj["matrix"] = io.matrix_to_rows(m)
         op_path.write_text(json.dumps(obj))
         scans, solves = [], []
         scan, eigvalsh = oracle._probabilities, np.linalg.eigvalsh
@@ -436,12 +447,72 @@ class TestVerify:
         run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
             "--method", "eq13", "--out", str(op_path))
         obj = json.loads(op_path.read_text())
+        obj["matrix"] = io.matrix_to_rows(io.read_operator(str(op_path)).matrix)
         obj["matrix"][0][0][0] = 10**400
         op_path.write_text(json.dumps(obj))
         code, _, err = run(capsys, "verify", str(op_path), set_path)
         assert code == 2
         assert "Traceback" not in err
         assert "too large" in err
+
+    def test_binary_and_rows_forms_give_identical_reports(self, tmp_path, capsys):
+        set_path = tmp_path / "set.json"
+        io.write_candidate_set(
+            candidate_set([random_density(3, 1, 11), random_density(3, 2, 12)]), str(set_path))
+        op_path, rows_path = tmp_path / "op.json", tmp_path / "rows.json"
+        code, _, _ = run(capsys, "construct", str(set_path), "--n", "2", "--operator", "m1",
+                         "--method", "maximal", "--out", str(op_path))
+        assert code == 0
+        obj = json.loads(op_path.read_text())
+        assert isinstance(obj["matrix"], str)
+        obj["matrix"] = io.matrix_to_rows(io.read_operator(str(op_path)).matrix)
+        rows_path.write_text(json.dumps(obj))
+        binary = run(capsys, "verify", str(op_path), str(set_path))
+        assert binary[0] == 0 and json.loads(binary[1])["invariants"]["valid"] is True
+        assert run(capsys, "verify", str(rows_path), str(set_path)) == binary
+
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda text, m: "*" + text[1:], "error: operator matrix: not valid base64: "),
+        (lambda text, m: b64(m.ravel()[:-1]), "error: operator matrix: 240 bytes "),
+        (lambda text, m: b64(np.eye(2)), "error: operator file: operator shape (2, 2) "),
+        (lambda text, m: b64(np.where(np.eye(4), np.inf, m)), "error: operator file: "
+         "operator contains NaN or Inf"),
+        (lambda text, m: b64(m + 1e-6 * np.eye(4, k=1)), "error: matrix is not Hermitian: "),
+        (lambda text, m: 42, "error: operator matrix: matrix must be a non-empty list of rows"),
+    ], ids=["character", "byte-count", "side", "inf", "non-hermitian", "number"])
+    def test_malformed_binary_matrix_exits_2(self, tmp_path, capsys, tamper, message):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        obj = json.loads(op_path.read_text())
+        obj["matrix"] = tamper(obj["matrix"], io.read_operator(str(op_path)).matrix)
+        op_path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", str(op_path), set_path)
+        assert (code, out) == (2, "")
+        assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.parametrize("target, field, message", [
+        ("operator", "n", "operator file: 'n' must be a positive integer, got True"),
+        ("operator", "dim", "operator file: 'dim' must be a positive integer, got True"),
+        ("operator", "schema_version", "operator file: schema_version True is not supported"),
+        ("set", "dim", "candidate set: 'dim' must be a positive integer, got True"),
+        ("set", "schema_version", "candidate set: schema_version True is not supported"),
+    ], ids=["operator-n", "operator-dim", "operator-version", "set-dim", "set-version"])
+    def test_boolean_for_an_integer_field_exits_2(self, tmp_path, capsys, target, field, message):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "2", "--operator", "m1",
+            "--method", "eq13", "--out", str(op_path))
+        path = op_path if target == "operator" else Path(set_path)
+        obj = json.loads(path.read_text())
+        obj[field] = True
+        if (target, field) == ("operator", "n"):  # dim**True = 2: a 2x2 matrix passes the shape check
+            obj["matrix"] = io.matrix_to_rows(np.diag([1.0, 0.0]))
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "verify", str(op_path), set_path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
 
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         orth2 = write_demo(tmp_path, "orth2")

@@ -1,10 +1,11 @@
+import base64
 import json
 
 import numpy as np
 import pytest
 
 from mixcomp import io
-from mixcomp.comparison import OperatorKind, Provenance, build_m2_pair
+from mixcomp.comparison import MeasurementOperator, OperatorKind, Provenance, build_m2_pair
 from mixcomp.errors import InputError, InternalCheckError
 from mixcomp.states import demo_set, random_density, candidate_set
 
@@ -147,6 +148,41 @@ class TestOperatorSchema:
         assert back.provenance is op.provenance
         assert np.array_equal(back.matrix, op.matrix)
         assert back.kind is OperatorKind.M2
+
+    def test_matrix_is_base64_of_little_endian_complex128(self):
+        op = build_m2_pair(demo_set("orth2"), 2)
+        text = io.operator_to_obj(op)["matrix"]
+        assert isinstance(text, str) and len(text) == 4 * -(-16 * 16 // 3)
+        raw = base64.b64decode(text, validate=True)
+        assert np.frombuffer(raw, "<c16").reshape(4, 4).tobytes() == op.matrix.tobytes()
+
+    def test_round_trip_is_bit_exact(self):
+        m = np.array([[-0.0, 5e-324 - 0.0j], [complex(1e300, -1e300), complex(-0.0, 2.5e-310)]])
+        op = MeasurementOperator(n=1, dim=2, matrix=m, provenance=Provenance.M1_MAXIMAL)
+        back = io.operator_from_obj(json.loads(json.dumps(io.operator_to_obj(op))))
+        assert back.matrix.tobytes() == m.tobytes()
+        assert np.signbit(back.matrix[0, 0].real) and np.signbit(back.matrix[1, 1].real)
+
+    @pytest.mark.parametrize("matrix, message", [
+        ("AAAA*AAA", "not valid base64"),
+        ("AAAA\u00e9AAA", "not valid base64"),
+        ("AAAA\nAAA", "not valid base64"),
+        ("AAA", "not valid base64"),
+        ("", "0 bytes"),
+        (base64.b64encode(bytes(24)).decode(), "24 bytes"),
+        (base64.b64encode(bytes(16 * 5)).decode(), "80 bytes"),
+        (base64.b64encode(np.eye(3, dtype="<c16").tobytes()).decode(), "does not match dim**n"),
+        (base64.b64encode(np.full((4, 4), np.nan, "<c16").tobytes()).decode(), "NaN or Inf"),
+        (3.5, "list of rows"),
+        ({"re": 1.0}, "list of rows"),
+        (None, "list of rows"),
+    ], ids=["star", "non-ascii", "newline", "padding", "empty", "partial-entry",
+            "not-square", "wrong-side", "nan", "float", "object", "null"])
+    def test_malformed_binary_matrix_rejected(self, matrix, message):
+        obj = {**io.operator_to_obj(build_m2_pair(demo_set("orth2"), 2)), "matrix": matrix}
+        with pytest.raises(InputError) as err:
+            io.operator_from_obj(obj)
+        assert message in str(err.value)
 
     def test_kind_provenance_mismatch_rejected(self):
         op = build_m2_pair(demo_set("orth2"), 2)

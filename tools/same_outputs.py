@@ -10,7 +10,10 @@ writes the set files of each workload and lists its jobs, and every job runs
 through ``mixcomp.cli.main``. The corpus_small analyze jobs of the first seed
 run once more at each ``--tol``. Per job the exit code, stdout and stderr are
 kept; afterwards every file the run wrote (set files, reports, operator
-files) is hashed. All paths are relative to a fresh working directory, so
+files) is hashed. An operator file is also read back with the tree's own
+``mixcomp.io.read_operator`` and its matrix bytes hashed, so two trees that
+encode one matrix differently still show that it decodes to the same bits.
+All paths are relative to a fresh working directory, so
 both trees see the same argv.
 
 Every difference in exit code, stdout, stderr or file bytes is printed. The
@@ -53,6 +56,7 @@ def collect(tree: Path, seeds: list[int], tols: list[str]) -> dict:
     """Run every job in the current directory; outputs keyed by job and file."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     from mixcomp import cli
+    from mixcomp import io as mio
     import workloads
 
     if tree / "src" not in Path(cli.__file__).resolve().parents:
@@ -63,14 +67,20 @@ def collect(tree: Path, seeds: list[int], tols: list[str]) -> dict:
     found: dict[str, dict] = {}
     for name, workload, seed, extra in runs:
         os.mkdir(name)
+        operators = set()
         for job in workloads.build(workload, seed, name):
             if extra and job.kind != "analyze":
                 continue
             argv = list(job.argv) + extra
             found[f"{name} job {job.index}: mixcomp {' '.join(argv)}"] = _call(cli, argv)
+            if job.kind == "construct":
+                operators.add(Path(job.out))
         for path in sorted(Path(name).iterdir()):
             found[f"file {path}"] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                                      "bytes": path.stat().st_size}
+            if path in operators:
+                matrix = mio.read_operator(str(path)).matrix
+                found[f"file {path}"]["matrix_sha256"] = hashlib.sha256(matrix.tobytes()).hexdigest()
     return found
 
 
