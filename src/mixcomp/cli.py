@@ -39,7 +39,7 @@ from .errors import (
     TupleTooShortError,
 )
 from .linalg import Tolerances
-from .oracle import TUPLE_CLASSES, verify_nontrivial, verify_unambiguous
+from .oracle import TUPLE_CLASSES, certify_construction, verify_nontrivial, verify_unambiguous
 from .states import DEMO_NAMES, CandidateSet, demo_set, random_density
 from .states import candidate_set as make_candidate_set
 
@@ -95,44 +95,28 @@ def _operator_entry(op, una, nt, tol) -> dict:
     }
 
 
-# Per provenance, in the order analyze builds and reports them: the builder,
+# Per provenance, in the order analyze builds and reports them, the builder,
 # called as build(cs, n, i0, tol, cap) through this module's names so that a
-# replaced builder is the one called, and analyze's message when the oracle
-# rejects an explicit construction. Maximal operators have none: they need
-# only be unambiguous, and whether they are non-trivial is the existence
-# verdict. A builder whose precondition fails raises ConditionNotMetError or
-# TupleTooShortError, and analyze skips it.
+# replaced builder is the one called. A builder whose precondition fails
+# raises ConditionNotMetError or TupleTooShortError, and analyze skips it.
 _CONSTRUCTIONS = {
-    Provenance.M1_MAXIMAL: (
+    Provenance.M1_MAXIMAL:
         lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M1, cap=cap, tol=tol),
-        None,
-    ),
-    Provenance.M2_MAXIMAL: (
+    Provenance.M2_MAXIMAL:
         lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M2, cap=cap, tol=tol),
-        None,
-    ),
-    Provenance.M1_EQ13: (
-        lambda cs, n, i0, tol, cap: build_m1(cs, n, i0, tol, cap),
-        "explicit identical-outcome construction failed oracle checks",
-    ),
-    Provenance.M2_PRODUCT_EQ27: (
-        lambda cs, n, i0, tol, cap: build_m2_product(cs, n, tol, cap),
-        "product different-outcome construction failed oracle checks",
-    ),
-    Provenance.M2_PAIR_EQ24: (
-        lambda cs, n, i0, tol, cap: build_m2_pair(cs, n, tol, cap),
-        "pair different-outcome construction failed oracle checks",
-    ),
+    Provenance.M1_EQ13: lambda cs, n, i0, tol, cap: build_m1(cs, n, i0, tol, cap),
+    Provenance.M2_PRODUCT_EQ27: lambda cs, n, i0, tol, cap: build_m2_product(cs, n, tol, cap),
+    Provenance.M2_PAIR_EQ24: lambda cs, n, i0, tol, cap: build_m2_pair(cs, n, tol, cap),
 }
 
 
 def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     """Full pipeline: conditions, reduction, exact existence, constructions.
 
-    The two maximal operators are always built and oracle-checked; they must
-    come out unambiguous or the run aborts with an internal error. Explicit
-    constructions run whenever their preconditions hold, and their oracle
-    verdicts must match the theory, again aborting on violation.
+    Every operator is built whenever its preconditions hold and must pass
+    ``certify_construction``; the two maximal ones always are, and whether
+    they are non-trivial is the existence verdict. An explicit construction
+    must also fire above tol.prob, or the run aborts with an internal error.
     """
     report = check_conditions(cs, tol)
     r = len(report.survivors)
@@ -141,23 +125,21 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
     operators = []
     existence = {}
     built: dict[Provenance, MeasurementOperator] = {}
-    for prov, (build, failure) in _CONSTRUCTIONS.items():
+    for prov, build in _CONSTRUCTIONS.items():
         try:
             op = build(cs, n, None, tol, cap)
         except (ConditionNotMetError, TupleTooShortError):
             continue
-        una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
-        if failure is None:
-            if not una.ok:
-                raise InternalCheckError(
-                    f"maximal {prov.kind.value} operator fired on a forbidden tuple "
-                    f"{una.worst_tuple} with probability {una.worst_probability:.3e}"
-                )
+        una, nt = certify_construction(op, cs, tol)
+        if prov in (Provenance.M1_MAXIMAL, Provenance.M2_MAXIMAL):
             existence[prov.kind.value.lower()] = bool(nt.ok)
-        elif una.ok and nt.ok:
-            built[prov] = op
+        elif not nt.ok:
+            raise InternalCheckError(
+                f"{prov.value} operator never fires above tol.prob = {tol.prob:.3e}: "
+                f"best probability {nt.best_probability:.3e} at {nt.best_tuple}"
+            )
         else:
-            raise InternalCheckError(failure)
+            built[prov] = op
         operators.append(_operator_entry(op, una, nt, tol))
 
     povm: dict = {"assembled": False}
@@ -314,14 +296,8 @@ def cmd_construct(args) -> int:
         )
     if args.i0 is not None and key != ("m1", "eq13"):
         raise InputError("--i0 only applies to m1 eq13")
-    build, _ = _CONSTRUCTIONS[_METHODS[key]]
-    op = build(cs, args.n, args.i0, tol, args.cap)
-    una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
-    if not una.ok:
-        raise InternalCheckError(
-            f"constructed operator {op.provenance.value} fired on forbidden tuple "
-            f"{una.worst_tuple} with probability {una.worst_probability:.3e}"
-        )
+    op = _CONSTRUCTIONS[_METHODS[key]](cs, args.n, args.i0, tol, args.cap)
+    _, nt = certify_construction(op, cs, tol)
     io.write_operator(op, args.out)
     print(
         f"{op.provenance.value}: rank {op.rank(tol)}, unambiguous true, "
@@ -338,8 +314,9 @@ def cmd_verify(args) -> int:
     cs = io.read_candidate_set(args.set_file)
     # a non-Hermitian file exits 2 before the scan and the eigensolve are paid
     op.require_hermitian(tol)
-    if op.dim ** op.n > args.cap:
-        raise CapExceededError(op.dim, op.n, args.cap)
+    # the operator's side is dim**n, already formed and checked by the reader
+    if len(op.matrix) > args.cap:
+        raise CapExceededError(op.dim, op.n, args.cap, len(op.matrix))
     una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
     forbidden, allowed = TUPLE_CLASSES[op.kind]
     res = op.residuals()
@@ -385,6 +362,8 @@ def cmd_gen(args) -> int:
         raise InputError(f"--d must be positive, got {args.d}")
     if args.k < 2:
         raise InputError(f"--k must be at least 2, got {args.k}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be non-negative, got {args.seed}")
     try:
         ranks = [int(x) for x in args.ranks.split(",")]
     except ValueError:
@@ -413,7 +392,10 @@ def cmd_gen(args) -> int:
 def cmd_demo(args) -> int:
     tol = _resolve_tolerances(args.tol)
     cs = demo_set(args.name)
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create directory {args.out_dir}: {exc.strerror}") from exc
     set_path = os.path.join(args.out_dir, f"{args.name}.json")
     io.write_candidate_set(cs, set_path)
     print(f"wrote {set_path}")
@@ -455,8 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build one measurement operator")
     p.add_argument("input", help="candidate set JSON file")
-    p.add_argument("--operator", choices=["m1", "m2"], required=True)
-    p.add_argument("--method", choices=["eq13", "eq24", "eq27", "maximal"], required=True)
+    p.add_argument("--operator", choices=sorted({op for op, _ in _METHODS}), required=True)
+    p.add_argument("--method", choices=sorted({m for _, m in _METHODS}), required=True)
     p.add_argument("--i0", type=int, default=None,
                    help="witness index for m1 eq13 (default: smallest)")
     common(p, needs_n=True)

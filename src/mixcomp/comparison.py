@@ -83,6 +83,15 @@ class Provenance(str, Enum):
         return OperatorKind(self.value[:2])
 
 
+def _composite(dim: int, n: int, bound: int) -> int | None:
+    """dim**n for n >= 1, or None without forming it when it exceeds ``bound``.
+
+    For dim >= 2, dim**n is at least dim and at least 2**n, which exceeds
+    bound once n reaches bound.bit_length(), so a huge dim or n costs nothing.
+    """
+    return dim**n if dim < 2 or (dim <= bound and n < bound.bit_length()) else None
+
+
 def _gamma(k: int) -> float:
     """Rounding bound of k complex operations: 4 k u / (1 - 4 k u), u = eps/2.
 
@@ -110,11 +119,10 @@ class MeasurementOperator:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.complex128)
-        expected = self.dim ** self.n
-        if m.ndim != 2 or m.shape != (expected, expected):
-            raise ShapeError(
-                f"operator shape {m.shape} does not match dim**n = {expected}"
-            )
+        side = _composite(self.dim, self.n, max(m.shape, default=0))
+        if m.ndim != 2 or side is None or m.shape != (side, side):
+            expected = f"{self.dim}**{self.n}" if side is None else side
+            raise ShapeError(f"operator shape {m.shape} does not match dim**n = {expected}")
         if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
             raise ShapeError("operator contains NaN or Inf entries")
         m = m.copy()
@@ -336,8 +344,9 @@ def _prepare(
     """Every builder's preamble: n >= 2, then the cap, then the one geometry pass."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ShapeError(f"tuple size n must be an integer >= 2, got {n!r}")
-    if cs.dim ** n > cap:
-        raise CapExceededError(cs.dim, n, cap)
+    composite = _composite(cs.dim, n, cap)
+    if composite is None or composite > cap:
+        raise CapExceededError(cs.dim, n, cap, composite)
     t = tol or Tolerances()
     return t, check_conditions(cs, t)
 
@@ -358,6 +367,12 @@ def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator
             f"invariants: residuals {r}"
         )
     return op
+
+
+def _product(cs, n, factors, provenance, t) -> MeasurementOperator:
+    """The self-checked Kronecker product of ``factors``, padded with identities to n slots."""
+    factors = factors + [identity(cs.dim)] * (n - len(factors))
+    return _self_check(MeasurementOperator(n, cs.dim, kron_all(factors), provenance), t)
 
 
 def build_m1(
@@ -387,9 +402,7 @@ def build_m1(
             f"index {i0} is not a witness; witnesses are {list(witnesses)}"
         )
     p = projector(complement(report.others[i0]))
-    matrix = kron_all([p] * n)
-    op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=Provenance.M1_EQ13)
-    return _self_check(op, t)
+    return _product(cs, n, [p] * n, Provenance.M1_EQ13, t)
 
 
 def build_m2_product(
@@ -418,12 +431,7 @@ def build_m2_product(
     if n < r:
         raise TupleTooShortError(n, r)
     factors = [projector(complement(report.supports[i])) for i in report.survivors]
-    factors.extend([identity(cs.dim)] * (n - r))
-    matrix = kron_all(factors)
-    op = MeasurementOperator(
-        n=n, dim=cs.dim, matrix=matrix, provenance=Provenance.M2_PRODUCT_EQ27
-    )
-    return _self_check(op, t)
+    return _product(cs, n, factors, Provenance.M2_PRODUCT_EQ27, t)
 
 
 def build_m2_pair(
@@ -446,14 +454,8 @@ def build_m2_pair(
             "others' span collectively and at least one support to escape "
             "it individually"
         )
-    first = projector(complement(report.supports[i0]))
-    second = projector(complement(report.others[i0]))
-    factors = [first, second] + [identity(cs.dim)] * (n - 2)
-    matrix = kron_all(factors)
-    op = MeasurementOperator(
-        n=n, dim=cs.dim, matrix=matrix, provenance=Provenance.M2_PAIR_EQ24
-    )
-    return _self_check(op, t)
+    factors = [projector(complement(s)) for s in (report.supports[i0], report.others[i0])]
+    return _product(cs, n, factors, Provenance.M2_PAIR_EQ24, t)
 
 
 def _tuple_span(tuples, supports, threshold, full_dim, offered):
@@ -589,8 +591,7 @@ def build_maximal(
             tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
         q = _tuple_span(tuples, supports, t.rank, full_dim, offered)
         matrix = projector(complement(Subspace(q)))
-    op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
-    return _self_check(op, t)
+    return _self_check(MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov), t)
 
 
 @dataclass(frozen=True)

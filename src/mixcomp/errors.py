@@ -73,14 +73,18 @@ class TupleTooShortError(MixcompError):
 
 
 class CapExceededError(MixcompError):
-    """Composite dimension d**n exceeds the configured cap."""
+    """Composite dimension d**n exceeds the configured cap.
 
-    def __init__(self, dim: int, n: int, cap: int):
+    ``composite`` is d**n when the caller formed it; it is then printed.
+    """
+
+    def __init__(self, dim: int, n: int, cap: int, composite: int | None = None):
         self.dim = dim
         self.n = n
         self.cap = cap
+        size = "" if composite is None else f" = {composite}"
         super().__init__(
-            f"composite dimension {dim}**{n} = {dim ** n} exceeds cap {cap}; "
+            f"composite dimension {dim}**{n}{size} exceeds cap {cap}; "
             f"raise the cap to proceed"
         )
 

@@ -241,6 +241,7 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
     NaN and Infinity are not JSON. Every number written derives from
     validated finite input, so a non-finite one is a bug and raises
     InternalCheckError instead of producing a file no strict parser reads.
+    A path that cannot be written raises InputError naming it.
     """
     try:
         text = json.dumps(obj, indent=indent, allow_nan=False)
@@ -249,8 +250,11 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
     if path is None:
         sys.stdout.write(text + "\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def read_candidate_set(path: str) -> CandidateSet:

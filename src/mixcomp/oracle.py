@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .comparison import DEFAULT_CAP, MeasurementOperator, OperatorKind, build_maximal
-from .errors import ShapeError
+from .errors import InternalCheckError, ShapeError
 from .linalg import Tolerances, kron_all
 from .states import CandidateSet
 
@@ -259,6 +259,23 @@ def verify_nontrivial(
     )
 
 
+def certify_construction(
+    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances
+) -> tuple[UnambiguityResult, NontrivialityResult]:
+    """Both verdicts on a built operator, which must never fire where its kind forbids.
+
+    A constructor's operator that fires on a forbidden tuple is a bug, so
+    that verdict raises InternalCheckError instead of being returned.
+    """
+    una = verify_unambiguous(m, cs, tol)
+    if not una.ok:
+        raise InternalCheckError(
+            f"{m.provenance.value} operator fired on forbidden tuple {una.worst_tuple} "
+            f"with probability {una.worst_probability:.3e}"
+        )
+    return una, verify_nontrivial(m, cs, tol)
+
+
 def decide_exists(
     cs: CandidateSet,
     n: int,
@@ -268,9 +285,9 @@ def decide_exists(
 ) -> bool:
     """Exact existence decision for a non-trivial operator of the given kind.
 
-    Builds the maximal operator for the class and checks non-triviality on
-    the matching tuple class. Correct because every valid operator's support
-    lies inside the maximal projector's range.
+    Builds the maximal operator for the class, certifies it unambiguous and
+    checks non-triviality on the matching tuple class. Correct because every
+    valid operator's support lies inside the maximal projector's range.
     """
     t = tol or Tolerances()
-    return verify_nontrivial(build_maximal(cs, n, which, cap=cap, tol=t), cs, t).ok
+    return certify_construction(build_maximal(cs, n, which, cap=cap, tol=t), cs, t)[1].ok

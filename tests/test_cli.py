@@ -10,7 +10,7 @@ import pytest
 
 from mixcomp import cli, comparison, io, oracle
 from mixcomp.cli import analyze_set, format_summary, main
-from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, residuals_ok
+from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, Provenance, residuals_ok
 from mixcomp.errors import InternalCheckError
 from mixcomp.linalg import Tolerances
 from mixcomp.states import candidate_set, demo_set, random_density
@@ -337,6 +337,19 @@ class TestConstruct:
         assert code == 2
         assert "n >= 3" in err
 
+    def test_operator_firing_on_forbidden_tuple_exits_4_unwritten(
+            self, tmp_path, capsys, monkeypatch):
+        path = write_demo(tmp_path, "orth2")
+        out_path = tmp_path / "op.json"
+        monkeypatch.setattr(cli, "build_m2_pair", lambda cs, n, tol, cap: MeasurementOperator(
+            n, cs.dim, np.eye(cs.dim**n), Provenance.M2_PAIR_EQ24))
+        code, out, err = run(capsys, "construct", path, "--n", "2", "--operator", "m2",
+                             "--method", "eq24", "--out", str(out_path))
+        assert (code, out) == (4, "")
+        assert err == ("internal error: M2_pair_eq24 operator fired on forbidden tuple (0, 0) "
+                       "with probability 1.000e+00\n")
+        assert not out_path.exists()
+
 
 class TestVerify:
     def test_constructed_operator_passes(self, tmp_path, capsys):
@@ -552,6 +565,11 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--d", "2", "--k", "2", "--ranks", "1,x")
         assert code == 2
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run(capsys, "gen", "--d", "2", "--k", "2", "--ranks", "1,1", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: --seed must be non-negative, got -1\n"
+
 
 class TestDemo:
     def test_eq26_writes_set_and_reports(self, tmp_path, capsys):
@@ -586,6 +604,12 @@ class TestDemo:
             main(["demo", "wat"])
         assert exc.value.code == 2
 
+    def test_out_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        path = write_demo(tmp_path, "orth2")
+        code, out, err = run(capsys, "demo", "orth2", "--out-dir", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot create directory {path}: File exists\n"
+
 
 class TestRoundTrip:
     def test_rewritten_set_gives_bit_identical_verdicts(self, tmp_path, capsys):
@@ -607,6 +631,40 @@ class TestRoundTrip:
         assert format_summary(rep) == format_summary(json.loads(json.dumps(rep)))
 
 
+class TestUnboundedInputs:
+    """Inputs that once did unbounded work or ended in a traceback."""
+
+    @pytest.mark.parametrize("n", ["5000", "100000"])
+    def test_huge_n_exits_3_without_forming_the_dimension(self, tmp_path, capsys, n):
+        path = write_demo(tmp_path, "orth2")
+        code, out, err = run(capsys, "analyze", path, "--n", n)
+        assert (code, out) == (3, "")
+        assert err == f"error: composite dimension 2**{n} exceeds cap 4096; raise the cap to proceed\n"
+
+    @pytest.mark.parametrize("n, dim, side", [(10**7, 3, 1), (2, 10**4000, 4)],
+                             ids=["huge-n", "huge-dim"])
+    def test_operator_file_with_huge_power_exits_2(self, tmp_path, capsys, n, dim, side):
+        set_path = write_demo(tmp_path, "orth2")
+        op_path = tmp_path / "op.json"
+        op_path.write_text(json.dumps({"schema_version": 1, "kind": "M1", "provenance": "M1_eq13",
+                                       "n": n, "dim": dim, "matrix": b64(np.eye(side))}))
+        code, out, err = run(capsys, "verify", str(op_path), set_path)
+        assert (code, out) == (2, "")
+        assert "does not match dim**n" in err
+        assert "4300 digits" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where, reason", [
+        ("missing/r.json", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_report_exits_2(self, tmp_path, capsys, where, reason):
+        path = write_demo(tmp_path, "orth2")
+        target = str(tmp_path / where)
+        code, out, err = run(capsys, "analyze", path, "--n", "2", "--out", target)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {target}: {reason}\n"
+
+
 class TestEscapingErrors:
     """Failures outside the library's own exceptions still end in an exit code."""
 
@@ -624,9 +682,17 @@ class TestEscapingErrors:
         def diverged(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli, "verify_unambiguous", diverged)
+        monkeypatch.setattr(oracle, "verify_unambiguous", diverged)
         path = write_demo(tmp_path, "orth2")
         code, _, err = run(capsys, "analyze", path, "--n", "2")
         assert code == 4
         assert len(err.strip().splitlines()) == 1
         assert "did not converge" in err
+
+    def test_explicit_operator_that_never_fires_aborts(self, monkeypatch):
+        monkeypatch.setattr(cli, "build_m1", lambda cs, n, i0, tol, cap: MeasurementOperator(
+            n, cs.dim, np.zeros((cs.dim**n,) * 2), Provenance.M1_EQ13))
+        with pytest.raises(InternalCheckError, match=(
+                r"^M1_eq13 operator never fires above tol\.prob = 1\.000e-09: "
+                r"best probability 0\.000e\+00 at \(0, 0\)$")):
+            analyze_set(demo_set("orth2"), 2, Tolerances(), DEFAULT_CAP)

@@ -20,7 +20,7 @@ from mixcomp.comparison import (
     build_m2_product,
     build_maximal,
 )
-from mixcomp.errors import ShapeError
+from mixcomp.errors import InternalCheckError, ShapeError
 from mixcomp.linalg import Tolerances, kron_all
 from mixcomp.oracle import (
     TUPLE_CLASSES,
@@ -259,6 +259,15 @@ class TestDecideExists:
     def test_maximally_mixed_member_blocks_m2(self):
         cs = candidate_set([maximally_mixed(3), random_density(3, 2, 77)])
         assert decide_exists(cs, 2, OperatorKind.M2) is False
+
+    def test_maximal_operator_firing_on_forbidden_tuple_raises(self, monkeypatch):
+        # the identity fires on every IDENTICAL tuple, which an M2 operator must not
+        monkeypatch.setattr(oracle, "build_maximal", lambda cs, n, which, cap, tol:
+                            identity_operator(n, cs.dim))
+        with pytest.raises(InternalCheckError, match=(
+                r"^M2_maximal operator fired on forbidden tuple \(0, 0\) "
+                r"with probability 1\.000e\+00$")):
+            decide_exists(ORTH2, 2, OperatorKind.M2)
 
 
 class TestPovmCompleteness:
