@@ -99,6 +99,7 @@ def _operator_entry(op, una, nt, tol) -> dict:
 # called as build(cs, n, i0, tol, cap) through this module's names so that a
 # replaced builder is the one called. A builder whose precondition fails
 # raises ConditionNotMetError or TupleTooShortError, and analyze skips it.
+# Eq. 24 comes after eq. 27 so that it takes the POVM's M2 slot when both exist.
 _CONSTRUCTIONS = {
     Provenance.M1_MAXIMAL:
         lambda cs, n, i0, tol, cap: build_maximal(cs, n, OperatorKind.M1, cap=cap, tol=tol),
@@ -124,7 +125,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
 
     operators = []
     existence = {}
-    built: dict[Provenance, MeasurementOperator] = {}
+    povm_ops: dict[OperatorKind, MeasurementOperator] = {}
     for prov, build in _CONSTRUCTIONS.items():
         try:
             op = build(cs, n, None, tol, cap)
@@ -139,18 +140,17 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
                 f"best probability {nt.best_probability:.3e} at {nt.best_tuple}"
             )
         else:
-            built[prov] = op
+            povm_ops[prov.kind] = op
         operators.append(_operator_entry(op, una, nt, tol))
 
     povm: dict = {"assembled": False}
-    m1 = built.get(Provenance.M1_EQ13)
-    m2_for_povm = built.get(Provenance.M2_PAIR_EQ24) or built.get(Provenance.M2_PRODUCT_EQ27)
-    if m1 is not None and m2_for_povm is not None:
-        assembly = assemble_povm(m1, m2_for_povm, tol)
+    m1, m2 = povm_ops.get(OperatorKind.M1), povm_ops.get(OperatorKind.M2)
+    if m1 is not None and m2 is not None:
+        assembly = assemble_povm(m1, m2, tol)
         povm = {
             "assembled": True,
             "m1_provenance": m1.provenance.value,
-            "m2_provenance": m2_for_povm.provenance.value,
+            "m2_provenance": m2.provenance.value,
             "alpha": assembly.alpha,
             "beta": assembly.beta,
             "inconclusive_min_eigenvalue": assembly.min_eigenvalue,
@@ -159,7 +159,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
         missing = []
         if m1 is None:
             missing.append("no identical-outcome construction")
-        if m2_for_povm is None:
+        if m2 is None:
             missing.append("no different-outcome construction at this n")
         povm["reason"] = "; ".join(missing)
 
@@ -275,6 +275,7 @@ def _summary_stream(out_path: str | None):
 def cmd_analyze(args) -> int:
     tol = _resolve_tolerances(args.tol)
     cs = io.read_candidate_set(args.input)
+    io.require_writable(args.out)
     rep = analyze_set(cs, args.n, tol, args.cap)
     io.dump_json(rep, args.out)
     print(format_summary(rep), file=_summary_stream(args.out))
@@ -296,6 +297,7 @@ def cmd_construct(args) -> int:
         )
     if args.i0 is not None and key != ("m1", "eq13"):
         raise InputError("--i0 only applies to m1 eq13")
+    io.require_writable(args.out)
     op = _CONSTRUCTIONS[_METHODS[key]](cs, args.n, args.i0, tol, args.cap)
     _, nt = certify_construction(op, cs, tol)
     io.write_operator(op, args.out)
@@ -317,6 +319,7 @@ def cmd_verify(args) -> int:
     # the operator's side is dim**n, already formed and checked by the reader
     if len(op.matrix) > args.cap:
         raise CapExceededError(op.dim, op.n, args.cap, len(op.matrix))
+    io.require_writable(args.out)
     una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
     forbidden, allowed = TUPLE_CLASSES[op.kind]
     res = op.residuals()

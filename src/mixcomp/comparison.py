@@ -598,20 +598,19 @@ def build_maximal(
 class PovmAssembly:
     """A completing three-outcome measurement.
 
-    conclusive_identical = alpha * M1, conclusive_different = beta * M2, and
-    inconclusive is whatever remains below the identity; min_eigenvalue is
-    the inconclusive element's lowest eigenvalue. Iterating yields the three
+    conclusive_identical = alpha * M1, conclusive_different = beta * M2 with
+    beta = alpha, and inconclusive is whatever remains below the identity;
+    min_eigenvalue is its lowest eigenvalue. Iterating yields the three
     matrices in that order.
     """
 
-    n: int
-    dim: int
     conclusive_identical: np.ndarray
     conclusive_different: np.ndarray
     inconclusive: np.ndarray
     alpha: float
-    beta: float
     min_eigenvalue: float
+
+    beta = property(lambda self: self.alpha)
 
     def __iter__(self):
         return iter((self.conclusive_identical, self.conclusive_different, self.inconclusive))
@@ -634,27 +633,14 @@ def assemble_povm(
         raise ShapeError(
             f"operators disagree on geometry: n={m1.n},dim={m1.dim} vs n={m2.n},dim={m2.dim}"
         )
-    eye = identity(m1.dim ** m1.n)
-    rest = eye - m1.matrix - m2.matrix
-    lowest = min_eigenvalue(rest, t)
-    if lowest >= -t.neg:
-        alpha = beta = 1.0
-    else:
-        alpha = beta = 0.5
-        rest = eye - 0.5 * m1.matrix - 0.5 * m2.matrix
+    for scale in (1.0, 0.5):
+        rest = identity(m1.dim ** m1.n)
+        rest -= scale * m1.matrix
+        rest -= scale * m2.matrix
         lowest = min_eigenvalue(rest, t)
-        if lowest < -t.neg:
-            raise InternalCheckError(
-                "inconclusive operator is not PSD even after halving; "
-                "the conclusive operators violate their invariants"
-            )
-    return PovmAssembly(
-        n=m1.n,
-        dim=m1.dim,
-        conclusive_identical=alpha * m1.matrix,
-        conclusive_different=beta * m2.matrix,
-        inconclusive=rest,
-        alpha=alpha,
-        beta=beta,
-        min_eigenvalue=lowest,
+        if lowest >= -t.neg:
+            return PovmAssembly(scale * m1.matrix, scale * m2.matrix, rest, scale, lowest)
+    raise InternalCheckError(
+        "inconclusive operator is not PSD even after halving; "
+        "the conclusive operators violate their invariants"
     )

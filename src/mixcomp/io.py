@@ -10,8 +10,10 @@ little-endian complex128 bytes; readers also accept the rows form.
 from __future__ import annotations
 
 import base64
+import errno
 import json
 import math
+import os
 import sys
 from itertools import chain
 from typing import Any
@@ -255,6 +257,34 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
                 fh.write(text + "\n")
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def require_writable(path: str | None) -> None:
+    """Raise now the InputError ``dump_json`` would raise for ``path``, creating nothing.
+
+    Refused with open's reason: a directory at the path, a missing parent,
+    one that is not a directory, and a file or parent that the process may
+    not write (reported as EACCES, whatever access(2) found). The path
+    None, stdout, is always writable.
+    """
+    if path is None:
+        return
+    try:
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif os.path.exists(path):
+            code = 0 if os.access(path, os.W_OK) else errno.EACCES
+        else:
+            parent = os.path.dirname(path) or "."
+            os.stat(parent)  # a missing parent raises ENOENT, a file on its way ENOTDIR
+            if not os.path.isdir(parent):
+                code = errno.ENOTDIR
+            else:
+                code = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    except OSError as exc:
+        code = exc.errno
+    if code:
+        raise InputError(f"cannot write {path}: {os.strerror(code)}")
 
 
 def read_candidate_set(path: str) -> CandidateSet:

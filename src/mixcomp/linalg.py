@@ -176,8 +176,8 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances | None = None) -> n
     return _mgs_span([cols], (tol or Tolerances()).rank * scale, d, min(d, m))
 
 
-def min_eigenvalue(a, tol: Tolerances | None = None, context: str = "matrix") -> float:
-    w, _ = hermitian_eigen(a, tol, context)
+def min_eigenvalue(a, tol: Tolerances | None = None) -> float:
+    w, _ = hermitian_eigen(a, tol)
     return float(w[0])
 
 

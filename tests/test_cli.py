@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from mixcomp import cli, comparison, io, oracle
 from mixcomp.cli import analyze_set, format_summary, main
-from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, Provenance, residuals_ok
+from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, Provenance, build_m1, residuals_ok
 from mixcomp.errors import InternalCheckError
 from mixcomp.linalg import Tolerances
 from mixcomp.states import candidate_set, demo_set, random_density
@@ -26,6 +27,11 @@ def write_demo(tmp_path, name):
     path = tmp_path / f"{name}.json"
     io.write_candidate_set(demo_set(name), str(path))
     return str(path)
+
+
+def set_led_by(entry):
+    """A set file whose first state entry is ``entry``, followed by a valid one."""
+    return {"schema_version": 1, "states": [entry, {"label": "b", "matrix": [[[1, 0]]]}]}
 
 
 def b64(m):
@@ -109,6 +115,29 @@ class TestAnalyze:
         assert len(calls) == 3
         analyze_set(cs, 3, Tolerances(1e-8), DEFAULT_CAP)
         assert len(calls) == 6
+
+    def test_povm_holds_one_operator_per_kind(self, monkeypatch):
+        products, freed = [], []
+        build_m2_product, assemble_povm = cli.build_m2_product, cli.assemble_povm
+
+        def product(*args):
+            op = build_m2_product(*args)
+            products.append(weakref.ref(op))
+            return op
+
+        def assemble(*args):
+            freed.extend(ref() is None for ref in products)
+            return assemble_povm(*args)
+
+        monkeypatch.setattr(cli, "build_m2_product", product)
+        monkeypatch.setattr(cli, "assemble_povm", assemble)
+        rep = analyze_set(demo_set("orth2"), 2, Tolerances(), DEFAULT_CAP)
+        assert [op["provenance"] for op in rep["operators"]][2:] == [
+            "M1_eq13", "M2_product_eq27", "M2_pair_eq24",
+        ]
+        # eq. 24 took the M2 slot and released the eq. 27 operator
+        assert freed == [True]
+        assert rep["povm"]["m2_provenance"] == "M2_pair_eq24"
 
     @pytest.mark.parametrize("cs,n,zero", [
         (demo_set("orth2"), 2, None),
@@ -653,16 +682,75 @@ class TestUnboundedInputs:
         assert "does not match dim**n" in err
         assert "4300 digits" not in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["analyze", "construct", "verify"])
     @pytest.mark.parametrize("where, reason", [
         ("missing/r.json", "No such file or directory"),
         (".", "Is a directory"),
+        ("orth2.json/r.json", "Not a directory"),
     ])
-    def test_unwritable_report_exits_2(self, tmp_path, capsys, where, reason):
+    def test_unwritable_report_exits_2(self, tmp_path, capsys, monkeypatch, command, where, reason):
         path = write_demo(tmp_path, "orth2")
+        op_path = str(tmp_path / "op.json")
+        io.write_operator(build_m1(demo_set("orth2"), 2), op_path)
+        ran = []
+
+        def spy(name, real):
+            def called(*args, **kwargs):
+                ran.append(name)
+                return real(*args, **kwargs)
+            return called
+
+        for module in (cli, comparison):
+            monkeypatch.setattr(module, "check_conditions", spy("conditions", module.check_conditions))
+        monkeypatch.setattr(oracle, "_probabilities", spy("scan", oracle._probabilities))
+        argv = {
+            "analyze": ["analyze", path, "--n", "2"],
+            "construct": ["construct", path, "--n", "2", "--operator", "m1", "--method", "eq13"],
+            "verify": ["verify", op_path, path],
+        }[command]
         target = str(tmp_path / where)
-        code, out, err = run(capsys, "analyze", path, "--n", "2", "--out", target)
+        code, out, err = run(capsys, *argv, "--out", target)
         assert (code, out) == (2, "")
         assert err == f"error: cannot write {target}: {reason}\n"
+        # refused before any work, and nothing was created
+        assert ran == []
+        assert sorted(os.listdir(tmp_path)) == ["op.json", "orth2.json"]
+
+
+class TestInputErrors:
+    """Malformed input ends in exit 2 and one stderr line naming the fault."""
+
+    @pytest.mark.parametrize("command, obj, message", [
+        ("verify", {"schema_version": 1, "kind": "M3", "provenance": "M1_eq13", "n": 2,
+                    "dim": 2, "matrix": "AAAA"},
+         "operator file: 'kind' must be 'M1' or 'M2', got 'M3'"),
+        ("analyze", [1, 2], "candidate set: top level must be a JSON object"),
+        ("verify", [1, 2], "operator file: top level must be a JSON object"),
+        ("analyze", set_led_by(3), "candidate set: state #0 is not an object"),
+        ("analyze", set_led_by({"matrix": [[[1, 0]]]}),
+         "candidate set: state #0 needs a non-empty string label"),
+        ("analyze", set_led_by({"label": "e", "ensemble": [1]}),
+         "state 'e': 'ensemble' must be an object"),
+        ("analyze", set_led_by({"label": "e", "ensemble": {"weights": [1.0]}}),
+         "state 'e': ensemble needs 'weights' and 'vectors' lists"),
+        ("analyze", set_led_by({"label": "e", "ensemble": {"weights": [1.0], "vectors": [[]]}}),
+         "state 'e': vector 0: vector must be a non-empty list of [re, im] pairs"),
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [0.5, 0.5], "vectors": [[[1, 0]], [[1, 0], [0, 0]]]}}),
+         "state 'e': ensemble vectors mix dimensions 1 and 2"),
+        ("gen", None, "--k must be at least 2, got 1"),
+    ], ids=["operator-kind", "set-list", "operator-list", "state-not-object", "no-label",
+            "ensemble-not-object", "ensemble-no-lists", "ensemble-empty-vector",
+            "ensemble-mixed-dims", "gen-one-state"])
+    def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, command, obj, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        argv = {
+            "analyze": ["analyze", str(bad), "--n", "2"],
+            "verify": ["verify", str(bad), write_demo(tmp_path, "orth2")],
+            "gen": ["gen", "--d", "2", "--k", "1", "--ranks", "1"],
+        }[command]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestEscapingErrors:

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import diagonal_set, gaussian_set
@@ -398,7 +401,38 @@ class TestProjectorCertificate:
         assert (solves == []) == (fires or not any(eigenvalues))
 
 
+POVM_SCALINGS = pytest.mark.parametrize("cs, n, alpha", [
+    (ORTH2, 8, 1.0),
+    (candidate_set([random_density(4, 1, seed) for seed in (1, 2)]), 4, 0.5),
+], ids=["unscaled", "halved"])
+
+
 class TestAssemblePovm:
+    @POVM_SCALINGS
+    def test_peak_memory_above_inputs(self, cs, n, alpha):
+        m1, m2 = build_m1(cs, n), build_m2_pair(cs, n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pv = assemble_povm(m1, m2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # during the solve: rest, its Hermitian copy and the eigenvectors;
+        # afterwards the three returned matrices
+        assert pv.alpha == alpha
+        assert (peak - before) / (16 * len(m1.matrix) ** 2) <= 3.5
+
+    @POVM_SCALINGS
+    def test_fields_are_what_is_read(self, cs, n, alpha):
+        pv = assemble_povm(build_m1(cs, n), build_m2_pair(cs, n))
+        assert [f.name for f in dataclasses.fields(pv)] == [
+            "conclusive_identical", "conclusive_different", "inconclusive",
+            "alpha", "min_eigenvalue",
+        ]
+        assert not hasattr(pv, "n") and not hasattr(pv, "dim")
+        assert pv.beta == pv.alpha == alpha
+
     def test_orth2_uses_unit_scaling(self):
         m1 = build_m1(ORTH2, 2, 0)
         m2 = build_m2_product(ORTH2, 2)

@@ -243,3 +243,21 @@ class TestFileHelpers:
         with pytest.raises(InternalCheckError):
             io.dump_json({"p": bad}, str(path))
         assert not path.exists()
+
+    def test_require_writable_creates_nothing_and_names_a_denied_write(self, tmp_path, monkeypatch):
+        target = tmp_path / "r.json"
+        io.require_writable(None)
+        io.require_writable(str(target))
+        assert not target.exists()
+        monkeypatch.setattr(io.os, "access", lambda *args: False)
+        denied = f"cannot write {target}: Permission denied"
+        # the parent of a new file
+        with pytest.raises(InputError) as err:
+            io.require_writable(str(target))
+        assert str(err.value) == denied
+        # an existing file, left as it was
+        target.write_text("kept")
+        with pytest.raises(InputError) as err:
+            io.require_writable(str(target))
+        assert str(err.value) == denied
+        assert target.read_text() == "kept"

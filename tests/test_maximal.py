@@ -17,7 +17,7 @@ from mixcomp import comparison, io
 from mixcomp.cli import main
 from mixcomp.comparison import OperatorKind, build_maximal, check_conditions
 from mixcomp.linalg import Tolerances, kron_all
-from mixcomp.states import candidate_set, random_density, validate_density
+from mixcomp.states import candidate_set, demo_set, random_density, validate_density
 from mixcomp.subspace import Subspace, complement, projector
 
 _TUPLE_SPAN = comparison._tuple_span
@@ -165,6 +165,25 @@ def test_self_check_needs_no_dense_residuals(monkeypatch):
     assert op.residuals()["projector"] <= 1e-9
     assert solves.count(256) == 1
     assert rank == op.rank() > 0
+
+
+def test_self_check_dense_fallback_keeps_the_spectrum(monkeypatch):
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def solve(a, *args, **kwargs):
+        solves.append(np.shape(a)[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    t = Tolerances(1e-14)
+    # eps = 7.2e-14 > tol.neg: only the dense residuals can pass this projector
+    op = build_maximal(demo_set("eq26"), 3, OperatorKind.M2, tol=t)
+    assert op._projector_bound()[1] > t.neg
+    assert solves == [27]
+    # rank counts the spectrum the self-check kept
+    assert op.rank(t) == 6
+    assert solves == [27]
 
 
 def generator_min(cs, n, kind):
