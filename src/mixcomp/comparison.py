@@ -9,17 +9,20 @@ explicit constructors turn witnesses of the conditions into projective
 operators on the n-fold tensor space; the maximal constructors build the
 largest operator compatible with an unambiguity constraint, which turns
 existence questions into rank checks. A frozen ``MeasurementOperator``
-memoizes in the same way: its Hermitian residual, the one product S S of its
-Hermitian part S that bounds eps = ||S^2 - S||_F, the residuals and the one
-spectrum of the dense check, and, under the oracle's own key, its
-probability vector.
+memoizes in the same way: its Hermitian residual, the bound eps on
+||S^2 - S||_F for its Hermitian part S, the residuals and the one spectrum of
+the dense check, and, under the oracle's own key, its probability vector.
 
 Every constructed operator is a projector, so its self-check and its rank
 need no eigensolve: eps <= tol.neg puts every eigenvalue within eps of 0 or
-1, and a small enough eps makes the rank the rounded trace. The zero matrix
-needs not even the product. Only when eps proves nothing does the dense
-check run its eigvalsh; ``residuals()``, which ``verify`` reports, stays
-dense.
+1, and a small enough eps makes the rank the rounded trace. The explicit
+operators (eq. 13, 24 and 27) are Kronecker products of d x d projectors and
+keep those factors in their memo, so their eps comes from d x d work and
+their POVM's lowest eigenvalue from d x d singular values, with no D x D
+product or eigensolve. Any other operator takes eps from one D x D product
+S S; the zero matrix needs not even that. Only when eps proves nothing does
+the dense check run its eigvalsh; ``residuals()``, which ``verify`` reports,
+and the oracle, which reads only the matrix, stay dense.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
@@ -35,6 +38,7 @@ oracle's reported tuples depend on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -100,6 +104,59 @@ def _gamma(k: int) -> float:
     """
     ku = 2 * k * float(np.finfo(np.float64).eps)
     return ku / (1 - ku)
+
+
+def _factor_eps(factors: list[np.ndarray]) -> float:
+    """eps >= ||S^2 - S||_F for S = fl((K^ + K^dagger)/2), K^ = fl(kron_all(factors)).
+
+    Only d x d work. Let H_j = (F_j + F_j^dagger)/2 and T = (x)_j H_j, all
+    exact. Then ||S - T||_F <= delta with
+        delta = u ||K^||_F + gamma(n) prod_j ||F_j||_F
+                + Sum_j prod_{i<j} ||F_i||_F ||F_j - H_j||_F prod_{i>j} ||H_i||_F,
+    since S is within u |(K^ + K^dagger)/2| of the Hermitian part of K^ (one
+    complex sum, and the halving is exact); K^ is within gamma(n) |K| of
+    K = (x)_j F_j (n - 1 complex products per entry; ``_gamma``), with
+    || |K| ||_F = prod_j ||F_j||_F; and the Hermitian part of K - T is no
+    larger than K - T = Sum_j (x)_{i<j} F_i (x) (F_j - H_j) (x)_{i>j} H_i.
+    Likewise T^2 - T = Sum_j (x)_{i<j} H_i^2 (x) (H_j^2 - H_j) (x)_{i>j} H_i,
+    and with S = T + E, S^2 - S = T^2 - T + T E + E T + E^2 - E, so
+        ||S^2 - S||_F <= Sum_j prod_{i<j} ||H_i^2||_F ||H_j^2 - H_j||_F
+                         prod_{i>j} ||H_i||_F + delta (2 prod_j ||H_j||_F + delta + 1).
+    ||K^||_F <= (1 + gamma(n)) prod_j ||F_j||_F, so no D x D norm is read.
+
+    Each d x d norm is rounded up past the rounding of its sum of squares
+    and square root, and widened by the rounding of the d x d matrix it is
+    taken of: H^ = fl(H) is within e = u h of H, where
+    h = ||H^||_F / (1 - u) >= ||H||_F; fl(F - H^) and fl(Q^ - H^) are within
+    u of their exact values relative; Q^ = fl(H^ H^) is within
+    gamma(d) ||H^||_F^2 of H^2 + (H^ - H) H^ + H (H^ - H), so within
+    gamma(d) ||H^||_F^2 + (||H^||_F + h) e of H^2. The scalar sums and
+    products above work on non-negative numbers, fewer than 64 (n + 1) real
+    roundings in all, and the last factor (``_gamma`` counts 4u per
+    operation) covers them. All slots are stacked, so the d x d work is a
+    few calls for any n.
+    """
+    u = float(np.finfo(np.float64).eps) / 2
+    n, d = len(factors), len(factors[0])
+    fs = np.stack(factors)
+    hm = np.conj(fs.transpose(0, 2, 1)) + fs
+    hm /= 2
+    sq = hm @ hm
+    parts = np.stack([fs, hm, fs - hm, sq, sq - hm])
+    norms = np.sqrt((parts.real ** 2 + parts.imag ** 2).sum(axis=(2, 3)))
+    ff, hf, af, qf, pf = norms * (1 + 2 * _gamma(d * d + 4))
+    hn = hf / (1 - u)
+    e = u * hn
+    # Q^ - H^2 in Frobenius norm: the product's rounding plus H^ against H
+    sq_err = _gamma(d) * hf * hf + (hf + hn) * e
+    f, a, h, q, p = (x.tolist() for x in (
+        ff, af / (1 - u) + e, hn, qf + sq_err, pf / (1 - u) + sq_err + e))
+    prod_f = math.prod(f)
+    delta = u * (1 + _gamma(n)) * prod_f + _gamma(n) * prod_f + sum(
+        math.prod(f[:j]) * a[j] * math.prod(h[j + 1:]) for j in range(n))
+    eps = sum(math.prod(q[:j]) * p[j] * math.prod(h[j + 1:]) for j in range(n))
+    eps += delta * (2 * math.prod(h) + delta + 1)
+    return eps * (1 + 2 * _gamma(16 * (n + 1)))
 
 
 @dataclass(frozen=True)
@@ -179,6 +236,21 @@ class MeasurementOperator:
                 self._memo["bound"] = float(np.max(np.abs(p, out=sym.real))), eps, tr
         return self._memo["bound"]
 
+    def _certificate(self) -> tuple[float, float]:
+        """eps >= ||S^2 - S||_F and Re tr S, the inputs of the projector certificates.
+
+        An operator that keeps its Kronecker factors takes eps from them
+        (``_factor_eps``) and the trace from an O(D) read; the diagonal of
+        S is exactly the real part of the matrix's. Any other operator
+        takes both from the one product of ``_projector_bound``.
+        """
+        factors = self._memo.get("factors")
+        if factors is None:
+            return self._projector_bound()[1:]
+        if "certificate" not in self._memo:
+            self._memo["certificate"] = _factor_eps(factors), float(np.trace(self.matrix).real)
+        return self._memo["certificate"]
+
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
         """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh.
 
@@ -218,7 +290,7 @@ class MeasurementOperator:
             # and the others, at most near, stay at or below it when
             # near < tol.rank (1 - near). The count is then exact for S;
             # eigvalsh would only approximate the same eigenvalues.
-            _, eps, tr = self._projector_bound()
+            eps, tr = self._certificate()
             dim = len(self.matrix)
             if 4 * eps < 1:
                 near = 2 * eps / (1 + np.sqrt(1 - 4 * eps))
@@ -356,9 +428,10 @@ def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator
 
     eps <= tol.neg puts every eigenvalue within eps of 0 or 1, which bounds
     the psd, below_identity and projector residuals by eps: the check then
-    passes without an eigensolve. Otherwise the dense residuals decide.
+    passes without an eigensolve. Otherwise the dense residuals decide, so
+    a bad factor of an explicit operator still raises.
     """
-    if op._hermitian() <= tol.sym and op._projector_bound()[1] <= tol.neg:
+    if op._hermitian() <= tol.sym and op._certificate()[0] <= tol.neg:
         return op
     r = op.residuals()
     if not residuals_ok(r, tol, require_projector=True):
@@ -370,9 +443,15 @@ def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator
 
 
 def _product(cs, n, factors, provenance, t) -> MeasurementOperator:
-    """The self-checked Kronecker product of ``factors``, padded with identities to n slots."""
+    """The self-checked Kronecker product of ``factors``, padded with identities to n slots.
+
+    The padded factors stay in the operator's memo, for its certificates
+    and its POVM; the oracle never reads them.
+    """
     factors = factors + [identity(cs.dim)] * (n - len(factors))
-    return _self_check(MeasurementOperator(n, cs.dim, kron_all(factors), provenance), t)
+    op = MeasurementOperator(n, cs.dim, kron_all(factors), provenance)
+    op._memo["factors"] = factors
+    return _self_check(op, t)
 
 
 def build_m1(
@@ -627,17 +706,30 @@ def assemble_povm(
     halves both. Halving always succeeds because each operator is below the
     identity. Scaling by a positive factor preserves which tuples have zero
     and which have positive probability.
+
+    When both operators keep their Kronecker factors, the lowest eigenvalue
+    needs no eigensolve. For projectors P and Q, not both zero,
+    lambda_max(P + Q) = 1 + ||P Q||_2 (the two-projection theorem), so
+    lambda_min(I - s P - s Q) = (1 - s) - s ||P Q||_2, and for products
+    ||P Q||_2 = prod_j ||F1_j F2_j||_2, one d x d SVD per slot (an explicit
+    operator is never zero: each factor projects onto a non-empty
+    complement). Otherwise ``min_eigenvalue`` solves I - sM1 - sM2.
     """
     t = tol or Tolerances()
     if m1.n != m2.n or m1.dim != m2.dim:
         raise ShapeError(
             f"operators disagree on geometry: n={m1.n},dim={m1.dim} vs n={m2.n},dim={m2.dim}"
         )
+    f1, f2 = m1._memo.get("factors"), m2._memo.get("factors")
+    overlap = None if f1 is None or f2 is None else math.prod(
+        np.linalg.svd(np.stack(f1) @ np.stack(f2), compute_uv=False)[:, 0].tolist())
     for scale in (1.0, 0.5):
         rest = identity(m1.dim ** m1.n)
         rest -= scale * m1.matrix
         rest -= scale * m2.matrix
-        lowest = min_eigenvalue(rest, t)
+        # 0.0 - overlap at s = 1, so a zero overlap gives +0.0, and exactly
+        # (1 - overlap) / 2 at s = 1/2
+        lowest = min_eigenvalue(rest, t) if overlap is None else (1.0 - scale) - scale * overlap
         if lowest >= -t.neg:
             return PovmAssembly(scale * m1.matrix, scale * m2.matrix, rest, scale, lowest)
     raise InternalCheckError(

@@ -177,8 +177,11 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances | None = None) -> n
 
 
 def min_eigenvalue(a, tol: Tolerances | None = None) -> float:
-    w, _ = hermitian_eigen(a, tol)
-    return float(w[0])
+    """Lowest eigenvalue of a Hermitian matrix from one eigvalsh, without eigenvectors.
+
+    The input is validated and symmetrized as in ``hermitian_eigen``.
+    """
+    return float(np.linalg.eigvalsh(require_hermitian(a, tol))[0])
 
 
 def identity(d: int) -> np.ndarray:

@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import diagonal_set, gaussian_set
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mixcomp import comparison
 from mixcomp.comparison import (
     MeasurementOperator,
     _self_check,
@@ -26,8 +29,13 @@ from mixcomp.errors import (
     ShapeError,
     TupleTooShortError,
 )
-from mixcomp.linalg import Tolerances, kron, kron_all, min_eigenvalue
-from mixcomp.oracle import classify_tuple, outcome_probability, verify_unambiguous
+from mixcomp.linalg import Tolerances, _hermitian_part, kron, kron_all, min_eigenvalue
+from mixcomp.oracle import (
+    classify_tuple,
+    outcome_probability,
+    verify_nontrivial,
+    verify_unambiguous,
+)
 from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
 from mixcomp.subspace import contains
 
@@ -401,6 +409,90 @@ class TestProjectorCertificate:
         assert (solves == []) == (fires or not any(eigenvalues))
 
 
+def with_factors(factors):
+    """The operator ``comparison._product`` would form from ``factors``, before its self-check."""
+    op = MeasurementOperator(len(factors), len(factors[0]), kron_all(factors), Provenance.M1_EQ13)
+    op._memo["factors"] = factors
+    return op
+
+
+def dense_copy(op):
+    """The same matrix without the Kronecker factors: every check takes the dense path."""
+    return MeasurementOperator(op.n, op.dim, op.matrix, op.provenance)
+
+
+class TestKroneckerFactors:
+    """Explicit operators keep their factors; the certificates read them, the oracle does not."""
+
+    @pytest.mark.parametrize("build", [build_m1, build_m2_product, build_m2_pair])
+    def test_explicit_builders_keep_padded_factors(self, build):
+        op = build(ORTH2, 3)
+        factors = op._memo["factors"]
+        assert len(factors) == 3 and all(f.shape == (2, 2) for f in factors)
+        assert np.array_equal(kron_all(factors), op.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.integers(2, 3), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+           size=st.floats(-14, -6), hermitian=st.booleans(), tol=st.sampled_from([1e-9, 1e-6]))
+    def test_factor_eps_bounds_the_formed_product(self, d, n, seed, size, hermitian, tol):
+        rng = np.random.default_rng(seed)
+        size = 10.0 ** size
+        factors = []
+        for _ in range(n):
+            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            basis, _ = np.linalg.qr(g[:, :rng.integers(1, d + 1)])
+            noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            if hermitian:
+                noise = noise + noise.conj().T
+            factors.append(basis @ basis.conj().T + size * noise / np.linalg.norm(noise))
+        op = with_factors(factors)
+        eps = op._certificate()[0]
+        # ||S^2 - S||_F of the formed product, measured in extended precision
+        sym = _hermitian_part(op.matrix).astype(np.clongdouble)
+        residual = sym @ sym - sym
+        assert eps >= float(np.sqrt(np.sum(np.abs(residual) ** 2)))
+        t = Tolerances(tol)
+        if op._hermitian() <= t.sym:
+            rank = op.rank(t)
+            certified = "residuals" not in op._memo
+            assert certified or size > 1e-12
+            if certified:
+                w = np.abs(np.linalg.eigvalsh(_hermitian_part(op.matrix)))
+                assert rank == int(np.sum(w > t.rank * w.max()))
+
+    @pytest.mark.parametrize("bad", [lambda p: 0.9 * p, lambda p: p + 1e-8 * np.eye(len(p))],
+                             ids=["scaled", "shifted"])
+    @pytest.mark.parametrize("build", [build_m1, build_m2_pair])
+    def test_bad_factor_still_raises(self, monkeypatch, bad, build):
+        projector = comparison.projector
+        monkeypatch.setattr(comparison, "projector", lambda space: bad(projector(space)))
+        with pytest.raises(InternalCheckError, match="failed its own invariants"):
+            build(ORTH2, 3)
+
+    def test_oracle_never_reads_factors(self):
+        read = []
+
+        class Spy(dict):
+            def __getitem__(self, key):
+                read.append(key)
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                read.append(key)
+                return super().get(key, default)
+
+            def __contains__(self, key):
+                read.append(key)
+                return super().__contains__(key)
+
+        for build in (build_m1, build_m2_product, build_m2_pair):
+            op = build(ORTH2, 3)
+            object.__setattr__(op, "_memo", Spy(op._memo))
+            assert verify_unambiguous(op, ORTH2).ok
+            assert verify_nontrivial(op, ORTH2).ok
+        assert read and "factors" not in read
+
+
 POVM_SCALINGS = pytest.mark.parametrize("cs, n, alpha", [
     (ORTH2, 8, 1.0),
     (candidate_set([random_density(4, 1, seed) for seed in (1, 2)]), 4, 0.5),
@@ -418,8 +510,8 @@ class TestAssemblePovm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # during the solve: rest, its Hermitian copy and the eigenvectors;
-        # afterwards the three returned matrices
+        # while rest is formed: rest and one scaled operator; afterwards the
+        # three returned matrices
         assert pv.alpha == alpha
         assert (peak - before) / (16 * len(m1.matrix) ** 2) <= 3.5
 
@@ -451,6 +543,37 @@ class TestAssemblePovm:
         pv = assemble_povm(m1, m2)
         assert pv.alpha == 0.5 and pv.beta == 0.5
         assert np.linalg.eigvalsh(pv.inconclusive)[0] >= -1e-9
+        assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
+
+    @staticmethod
+    def factor_povm_cases(corpus):
+        """(m1, m2) explicit pairs: orth2, c3_pure_pair and every structural corpus instance."""
+        yield build_m1(ORTH2, 3), build_m2_pair(ORTH2, 3)
+        yield build_m1(ORTH2, 2, 0), build_m2_product(ORTH2, 2)
+        yield build_m1(c3_pure_pair(), 2, 0), build_m2_product(c3_pure_pair(), 2)
+        for _, cs, _ in corpus:
+            if check_conditions(cs).m2_structural:
+                for n in (2, 3):
+                    yield build_m1(cs, n), build_m2_pair(cs, n)
+
+    def test_factor_value_matches_the_dense_spectrum(self, corpus):
+        scalings = set()
+        for m1, m2 in self.factor_povm_cases(corpus):
+            pv = assemble_povm(m1, m2)
+            scalings.add(pv.alpha)
+            assert abs(pv.min_eigenvalue - np.linalg.eigvalsh(pv.inconclusive)[0]) <= 1e-12
+            if pv.alpha == 1.0 and not (m1.matrix @ m2.matrix).any():
+                # orthogonal ranges: a zero overlap in some slot gives +0.0
+                assert pv.min_eigenvalue == 0.0 and np.copysign(1.0, pv.min_eigenvalue) == 1.0
+        assert scalings == {1.0, 0.5}
+
+    @pytest.mark.parametrize("cs, n, build_m2", [
+        (ORTH2, 2, build_m2_product), (c3_pure_pair(), 2, build_m2_product),
+        (candidate_set([random_density(4, 1, seed) for seed in (1, 2)]), 3, build_m2_pair),
+    ], ids=["orth2", "c3-pure-pair", "halved"])
+    def test_operators_without_factors_take_the_dense_solve(self, cs, n, build_m2):
+        m1, m2 = dense_copy(build_m1(cs, n)), dense_copy(build_m2(cs, n))
+        pv = assemble_povm(m1, m2)
         assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
 
     def test_zero_operators_leave_identity(self):

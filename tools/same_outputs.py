@@ -16,8 +16,11 @@ encode one matrix differently still show that it decodes to the same bits.
 All paths are relative to a fresh working directory, so
 both trees see the same argv.
 
-Every difference in exit code, stdout, stderr or file bytes is printed. The
-exit code is 1 when there is any, 0 otherwise.
+Every difference in exit code, stdout, stderr or file bytes is printed. For
+an analyze or verify report (``*-analyze.json``, ``*-verify.json``) that
+differs, the JSON paths whose values differ are printed instead of the two
+hashes, with both reprs and the largest difference between numbers. The
+exit code is 1 when there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ def collect(tree: Path, seeds: list[int], tols: list[str]) -> dict:
         for path in sorted(Path(name).iterdir()):
             found[f"file {path}"] = {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
                                      "bytes": path.stat().st_size}
+            if path.name.endswith(("-analyze.json", "-verify.json")):
+                found[f"file {path}"]["json"] = json.loads(path.read_text())
             if path in operators:
                 matrix = mio.read_operator(str(path)).matrix
                 found[f"file {path}"]["matrix_sha256"] = hashlib.sha256(matrix.tobytes()).hexdigest()
@@ -92,12 +97,46 @@ def run_tree(tree: Path, args, workdir: str) -> subprocess.Popen:
     return subprocess.Popen(cmd, cwd=workdir, env=env, stdout=subprocess.PIPE)
 
 
+class _Missing:
+    def __repr__(self):
+        return "<missing>"
+
+
+def json_paths(a, b, path="$"):
+    """(path, parent value, child value) for each JSON value that differs, in document order.
+
+    Leaves compare by repr, so 0.0 and -0.0 differ as their bytes do.
+    """
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from json_paths(a.get(key, _Missing()), b.get(key, _Missing()), f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from json_paths(x, y, f"{path}[{i}]")
+    elif repr(a) != repr(b):
+        yield path, a, b
+
+
+def _report_lines(key: str, changed: list) -> str:
+    deltas = [abs(x - y) for _, x, y in changed
+              if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (x, y))]
+    head = f"{key}: {len(changed)} JSON values differ"
+    if deltas:
+        head += f", largest difference between numbers {max(deltas):.3g}"
+    return "\n".join([head] + [f"  {path}: parent {x!r}, child {y!r}" for path, x, y in changed])
+
+
 def differences(parent: dict, child: dict) -> list[str]:
     lines = []
     for key in sorted(parent.keys() | child.keys(), key=lambda k: (k.startswith("file"), k)):
         a, b = parent.get(key), child.get(key)
         if a is None or b is None:
             lines.append(f"{key}: only in {'child' if a is None else 'parent'}")
+            continue
+        ja, jb = a.pop("json", None), b.pop("json", None)
+        changed = [] if ja is None or jb is None else list(json_paths(ja, jb))
+        if changed:
+            lines.append(_report_lines(key, changed))
             continue
         for field in sorted(a.keys() | b.keys()):
             if a.get(field) != b.get(field):
