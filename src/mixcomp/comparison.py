@@ -19,10 +19,12 @@ need no eigensolve: eps <= tol.neg puts every eigenvalue within eps of 0 or
 operators (eq. 13, 24 and 27) are Kronecker products of d x d projectors and
 keep those factors in their memo, so their eps comes from d x d work and
 their POVM's lowest eigenvalue from d x d singular values, with no D x D
-product or eigensolve. Any other operator takes eps from one D x D product
-S S; the zero matrix needs not even that. Only when eps proves nothing does
-the dense check run its eigvalsh; ``residuals()``, which ``verify`` reports,
-and the oracle, which reads only the matrix, stay dense.
+product or eigensolve. A non-zero M1 maximal operator stores its eps at
+build time from N x N work on its span basis. Any other operator takes eps
+from one D x D product S S; the zero matrix needs not even that. Only when
+eps proves nothing does the dense check run its eigvalsh; ``residuals()``,
+which ``verify`` reports, and the oracle, which reads only the matrix, stay
+dense.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
@@ -30,9 +32,12 @@ generator, Sum_i P_i^(x)n for the identical class and (Sum_i P_i)^(x)n minus
 that sum for the different class. When the class offers at least D = d**n
 product columns, one Cholesky factorization of the shifted generator can
 prove the span full, and the operator is then the zero matrix without a span
-loop. Otherwise the span is still built column by column: replacing it by
-the generator's kernel would move exact ties between tuples, which the
-oracle's reported tuples depend on.
+loop. Otherwise the span's orthonormal basis Q (D x N) is built column by
+column. The M1 operator is I - Q Q^dagger, certified from Q^dagger Q, or the
+zero matrix when N = D. The M2 operator keeps the projector of the SVD
+complement of Q until a tie rule lands: I - Q Q^dagger, equal up to
+round-off, moves which slot-permuted tuples win exact ties in the oracle's
+reported tuples. The identical class of M1 has no such ties.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .linalg import (
     Tolerances,
     _hermitian_part,
     _mgs_span,
+    dagger,
     herm_residual,
     identity,
     kron_all,
@@ -159,6 +165,53 @@ def _factor_eps(factors: list[np.ndarray]) -> float:
     return eps * (1 + 2 * _gamma(16 * (n + 1)))
 
 
+def _span_complement(q: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
+    """M^ = fl(I - fl(Q Q^dagger)) and its certificate: eps and Re tr M^.
+
+    eps >= ||S^2 - S||_F for S = fl((M^ + M^dagger)/2). Q is the D x N span
+    basis as stored, N < D; beyond forming M^, only N x N work and an O(D)
+    trace. Let G = Q^dagger Q and T = I - Q Q^dagger, both exact. Then
+    T^2 - T = Q (G - I) Q^dagger, so for any g >= ||G - I||_F
+        ||T^2 - T||_F <= ||Q||_2^2 ||G - I||_F <= (1 + g) g,
+    as ||Q||_2^2 = ||G||_2 <= 1 + g. T's eigenvalues are 1 and the 1 - sigma_i^2
+    of Q's singular values, so ||T||_2 <= 1 + g and ||T||_F <= sqrt(D - N) + g.
+    With S = T + E, S^2 - S = T^2 - T + T E + E T + E^2 - E, so
+        ||S^2 - S||_F <= (1 + g) g + delta (2 (1 + g) + delta + 1)
+    for any delta >= ||E||_F, the E-term algebra of ``_factor_eps``.
+
+    g: G^ = fl(Q^dagger Q) is within gamma(D) |Q^dagger||Q| of G, and
+    || |Q^dagger||Q| ||_F <= ||Q||_F^2 = tr G <= f = Re tr G^ / (1 - gamma(D));
+    fl(G^ - I) rounds only the diagonal, within u of its exact value, so
+    g = ||fl(G^ - I)||_F / (1 - u) + gamma(D) f.
+    delta: C^ = fl(Q Q^dagger) is within gamma(N) f of Q Q^dagger in
+    Frobenius norm, by the same argument; M^ is within u |I - C^| of
+    I - C^ (again only the diagonal rounds); S is within u |(M^ + M^dagger)/2|
+    of the Hermitian part of M^ (one complex sum; the halving is exact),
+    and the Hermitian part of M^ - T is no larger than M^ - T. With
+    m = ||T||_F + gamma(N) f >= ||I - C^||_F,
+        delta = gamma(N) f + 3 u m >= gamma(N) f + u m + u (1 + u) m.
+    The two norms read are rounded up past their sums and square root; the
+    scalar operations after them, fewer than 64 on non-negative numbers,
+    are covered by the last factor (``_gamma`` counts 4u per operation).
+    """
+    u = float(np.finfo(np.float64).eps) / 2
+    dim, cols = q.shape
+    qh = dagger(q)
+    # identity(D) - Q Q^dagger, bit for bit, without a second D x D array
+    matrix = q @ qh
+    np.subtract(0.0, matrix, out=matrix)
+    matrix.flat[:: dim + 1] += 1
+    gram = qh @ q
+    f = float(np.trace(gram).real) * (1 + 2 * _gamma(cols + 4)) / (1 - _gamma(dim))
+    gram.flat[:: cols + 1] -= 1
+    g = float(np.sqrt(np.vdot(gram, gram).real)) * (1 + 2 * _gamma(cols * cols + 4))
+    g = g / (1 - u) + _gamma(dim) * f
+    formed = _gamma(cols) * f
+    delta = formed + 3 * u * (math.sqrt(dim - cols) + g + formed)
+    eps = (1 + g) * g + delta * (2 * (1 + g) + delta + 1)
+    return matrix, (eps * (1 + 2 * _gamma(64)), float(np.trace(matrix).real))
+
+
 @dataclass(frozen=True)
 class MeasurementOperator:
     """A conclusive-outcome operator on the n-fold tensor space.
@@ -239,16 +292,16 @@ class MeasurementOperator:
     def _certificate(self) -> tuple[float, float]:
         """eps >= ||S^2 - S||_F and Re tr S, the inputs of the projector certificates.
 
+        The M1 maximal operator stores both at build time (``_span_complement``).
         An operator that keeps its Kronecker factors takes eps from them
-        (``_factor_eps``) and the trace from an O(D) read; the diagonal of
-        S is exactly the real part of the matrix's. Any other operator
-        takes both from the one product of ``_projector_bound``.
+        (``_factor_eps``); both take the trace from an O(D) read, as the
+        diagonal of S is exactly the real part of the matrix's. Any other
+        operator takes both from the one product of ``_projector_bound``.
         """
-        factors = self._memo.get("factors")
-        if factors is None:
-            return self._projector_bound()[1:]
         if "certificate" not in self._memo:
-            self._memo["certificate"] = _factor_eps(factors), float(np.trace(self.matrix).real)
+            factors = self._memo.get("factors")
+            self._memo["certificate"] = self._projector_bound()[1:] if factors is None else (
+                _factor_eps(factors), float(np.trace(self.matrix).real))
         return self._memo["certificate"]
 
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
@@ -648,9 +701,13 @@ def build_maximal(
     eigenvalue above a cut, the span loop would reach D columns, so the zero
     matrix is returned without it. A factorization that fails proves
     nothing and falls through to the loop.
-    Otherwise the span is built column by column with modified Gram-Schmidt;
-    that path stays because the generator's kernel, though equal up to
-    round-off, would change which tuples win exact ties in the oracle.
+    Otherwise the span's basis Q (D x N) is built column by column with
+    modified Gram-Schmidt. The M1 operator is then I - Q Q^dagger, with its
+    certificate from Q^dagger Q (``_span_complement``), or the exact zero
+    matrix when N = D. The M2 operator keeps the projector of the SVD
+    complement of Q until a tie rule lands, since I - Q Q^dagger, though
+    equal up to round-off, would change which slot-permuted tuples win exact
+    ties in the oracle.
     """
     which = OperatorKind(which)
     t, report = _prepare(cs, n, tol, cap)
@@ -659,6 +716,7 @@ def build_maximal(
     prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
     offered = _offered_columns(n, supports, which)
     cert = _span_certificate(n, supports, which, t.rank, full_dim, offered)
+    certificate = None  # the M1 complement's (eps, Re tr), known at build time
     if cert is not None and cert[0] > cert[1]:
         matrix = np.zeros((full_dim, full_dim))
     else:
@@ -669,8 +727,16 @@ def build_maximal(
         else:
             tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
         q = _tuple_span(tuples, supports, t.rank, full_dim, offered)
-        matrix = projector(complement(Subspace(q)))
-    return _self_check(MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov), t)
+        if which is OperatorKind.M2:
+            matrix = projector(complement(Subspace(q)))
+        elif q.shape[1] == full_dim:
+            matrix = np.zeros((full_dim, full_dim))
+        else:
+            matrix, certificate = _span_complement(q)
+    op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
+    if certificate is not None:
+        op._memo["certificate"] = certificate
+    return _self_check(op, t)
 
 
 @dataclass(frozen=True)

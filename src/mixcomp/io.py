@@ -254,7 +254,9 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
     else:
         try:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                # two writes: text + "\n" would copy an operator file's text once more
+                fh.write(text)
+                fh.write("\n")
         except OSError as exc:
             raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -470,6 +471,7 @@ class TestKroneckerFactors:
             build(ORTH2, 3)
 
     def test_oracle_never_reads_factors(self):
+        # nor the certificate the M1 maximal stores at build time
         read = []
 
         class Spy(dict):
@@ -485,12 +487,14 @@ class TestKroneckerFactors:
                 read.append(key)
                 return super().__contains__(key)
 
-        for build in (build_m1, build_m2_product, build_m2_pair):
+        m1_maximal = functools.partial(build_maximal, which=OperatorKind.M1)
+        for build in (build_m1, build_m2_product, build_m2_pair, m1_maximal):
             op = build(ORTH2, 3)
+            assert "certificate" in op._memo
             object.__setattr__(op, "_memo", Spy(op._memo))
             assert verify_unambiguous(op, ORTH2).ok
             assert verify_nontrivial(op, ORTH2).ok
-        assert read and "factors" not in read
+        assert read and "factors" not in read and "certificate" not in read
 
 
 POVM_SCALINGS = pytest.mark.parametrize("cs, n, alpha", [

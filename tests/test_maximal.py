@@ -1,22 +1,34 @@
 """Maximal operators: the generator shortcut against the kept span loop.
 
 ``build_maximal`` skips the column-by-column span loop when one Cholesky
-factorization of the class's shifted generator proves the span full. These tests pin that every
-operator stays bit-identical to the loop's, and that each skip rule skips
-what it claims to.
+factorization of the class's shifted generator proves the span full. These
+tests pin every operator to the loop's span basis Q: the M2 maximal and
+every zero operator bit for bit to the SVD complement projector, a non-zero
+M1 maximal bit for bit to I - Q Q^dagger, which is also pinned within 1e-12
+of that projector and to its rank. They also check that each skip rule
+skips what it claims to.
 """
 
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import near_degenerate_set
 
 from mixcomp import comparison, io
 from mixcomp.cli import main
-from mixcomp.comparison import OperatorKind, build_maximal, check_conditions
-from mixcomp.linalg import Tolerances, kron_all
+from mixcomp.comparison import (
+    MeasurementOperator,
+    OperatorKind,
+    Provenance,
+    build_maximal,
+    check_conditions,
+)
+from mixcomp.errors import InternalCheckError
+from mixcomp.linalg import Tolerances, _hermitian_part, dagger, identity, kron_all
 from mixcomp.states import candidate_set, demo_set, random_density, validate_density
 from mixcomp.subspace import Subspace, complement, projector
 
@@ -25,17 +37,16 @@ _CERTIFICATE = comparison._span_certificate
 THETAS = [10.0**e for e in range(-12, -1)]
 
 
-def loop_reference(cs, n, kind):
-    """The maximal projector as the span loop alone builds it."""
-    t = Tolerances()
+def loop_basis(cs, n, kind, tol=None):
+    """The span basis Q the loop alone builds for the maximal operator."""
+    t = tol or Tolerances()
     supports = check_conditions(cs, t).supports
     full_dim = cs.dim**n
     identical = OperatorKind(kind) is OperatorKind.M2
     combos = itertools.product(range(cs.k), repeat=n)
     tuples = [c for c in combos if (len(set(c)) == 1) == identical]
     offered = comparison._offered_columns(n, supports, OperatorKind(kind))
-    q = _TUPLE_SPAN(tuples, supports, t.rank, full_dim, offered)
-    return projector(complement(Subspace(q)))
+    return _TUPLE_SPAN(tuples, supports, t.rank, full_dim, offered)
 
 
 def span_shape_set(seed=0):
@@ -69,7 +80,17 @@ def build_and_check(spy, cs, n, kind):
     fired = spy["loops"] == before
     cert = spy["certs"][-1]
     assert fired == (cert is not None and cert[0] > cert[1])
-    assert np.array_equal(op.matrix, loop_reference(cs, n, kind))
+    q = loop_basis(cs, n, kind)
+    svd = projector(complement(Subspace(q)))
+    if OperatorKind(kind) is OperatorKind.M2 or not svd.any():
+        assert np.array_equal(op.matrix, svd)
+        return fired, op
+    expected = identity(len(q))
+    expected -= q @ dagger(q)
+    assert np.array_equal(op.matrix, expected)
+    assert np.max(np.abs(op.matrix - svd)) <= 1e-12
+    dense = MeasurementOperator(n, cs.dim, svd, op.provenance)
+    assert op.rank() == dense.rank() == len(q) - q.shape[1]
     return fired, op
 
 
@@ -236,3 +257,85 @@ def test_singular_generator_falls_back_to_the_loop(spy, tmp_path, capsys):
     io.write_candidate_set(cs, str(path))
     assert main(["analyze", str(path), "--n", "2"]) == 0
     capsys.readouterr()
+
+
+def c057_set():
+    """Seed-7 corpus_small set c057: ``mixcomp gen --d 2 --k 3 --ranks 1,1,1 --seed 2847482``."""
+    seeds = np.random.SeedSequence(2847482).generate_state(3)
+    return candidate_set([random_density(2, 1, int(s)) for s in seeds])
+
+
+def test_full_span_without_proof_is_exact_zero(spy):
+    t = Tolerances(3e-2)
+    cs = c057_set()
+    op = build_maximal(cs, 3, OperatorKind.M1, tol=t)
+    # the Cholesky shift fails at this tolerance, yet the loop keeps all D = 8 columns
+    assert spy["certs"][-1][0] == -np.inf and spy["loops"] == 1
+    q = loop_basis(cs, 3, OperatorKind.M1, t)
+    assert q.shape == (8, 8)
+    assert not op.matrix.any() and op.rank(t) == 0
+    # I - Q Q^dagger would leave round-off that the loose rank cut counts
+    rest = identity(8)
+    rest -= q @ dagger(q)
+    assert MeasurementOperator(3, 2, rest, Provenance.M1_MAXIMAL).rank(t) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 4), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0, 1), size=st.floats(-14, -6), tol=st.sampled_from([1e-9, 1e-6]))
+def test_span_complement_eps_bounds_the_formed_matrix(d, n, seed, fraction, size, tol):
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    cols = int(fraction * (dim - 1))
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    basis, _ = np.linalg.qr(g)
+    noise = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
+    q = basis[:, :cols] + 10.0**size * noise / max(np.linalg.norm(noise), 1.0)
+    matrix, certificate = comparison._span_complement(q)
+    eps = certificate[0]
+    # ||S^2 - S||_F of the formed matrix, measured in extended precision
+    sym = _hermitian_part(matrix).astype(np.clongdouble)
+    residual = sym @ sym - sym
+    assert eps >= float(np.sqrt(np.sum(np.abs(residual) ** 2)))
+    op = MeasurementOperator(n, d, matrix, Provenance.M1_MAXIMAL)
+    op._memo["certificate"] = certificate
+    t = Tolerances(tol)
+    if op._hermitian() <= t.sym:
+        rank = op.rank(t)
+        if "residuals" not in op._memo:
+            w = np.abs(np.linalg.eigvalsh(_hermitian_part(op.matrix)))
+            assert rank == int(np.sum(w > t.rank * w.max())) == dim - cols
+
+
+def short_column_set():
+    """d=16, ranks 1 and 2, n=2: 4 different-tuple columns against D = 256."""
+    return candidate_set([random_density(16, 1, 5), random_density(16, 2, 6)])
+
+
+def test_m1_complement_needs_no_dense_linear_algebra(monkeypatch):
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    bound = comparison.MeasurementOperator._projector_bound
+    monkeypatch.setattr(comparison.MeasurementOperator, "_projector_bound", counted("bound", bound))
+    op = build_maximal(short_column_set(), 2, OperatorKind.M1)
+    assert op.rank() == 256 - 4
+    assert calls == []
+
+
+def test_corrupted_basis_still_raises(monkeypatch):
+    def corrupted(*args):
+        q = _TUPLE_SPAN(*args).copy()
+        q[:, 0] *= 0.9
+        return q
+
+    monkeypatch.setattr(comparison, "_tuple_span", corrupted)
+    with pytest.raises(InternalCheckError, match="failed its own invariants"):
+        build_maximal(short_column_set(), 2, OperatorKind.M1)

@@ -19,14 +19,17 @@ both trees see the same argv.
 Every difference in exit code, stdout, stderr or file bytes is printed. For
 an analyze or verify report (``*-analyze.json``, ``*-verify.json``) that
 differs, the JSON paths whose values differ are printed instead of the two
-hashes, with both reprs and the largest difference between numbers. The
-exit code is 1 when there is any difference, 0 otherwise.
+hashes, with both reprs and the largest difference between numbers. For a
+job whose stdout or stderr differs, only the differing lines are printed,
+the parent's marked ``-`` and the child's ``+``. The exit code is 1 when
+there is any difference, 0 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import json
@@ -126,6 +129,15 @@ def _report_lines(key: str, changed: list) -> str:
     return "\n".join([head] + [f"  {path}: parent {x!r}, child {y!r}" for path, x, y in changed])
 
 
+def _stream_lines(key: str, field: str, a: str, b: str) -> str:
+    """The lines of two differing output streams that differ, parent ``-`` and child ``+``."""
+    diff = [line for line in difflib.unified_diff(a.splitlines(), b.splitlines(), n=0, lineterm="")
+            if not line.startswith(("---", "+++", "@@"))]
+    if not diff:  # only line endings differ
+        diff = [f"-{a!r}", f"+{b!r}"]
+    return "\n".join([f"{key}: {field} differs"] + [f"  {line}" for line in diff])
+
+
 def differences(parent: dict, child: dict) -> list[str]:
     lines = []
     for key in sorted(parent.keys() | child.keys(), key=lambda k: (k.startswith("file"), k)):
@@ -139,9 +151,13 @@ def differences(parent: dict, child: dict) -> list[str]:
             lines.append(_report_lines(key, changed))
             continue
         for field in sorted(a.keys() | b.keys()):
-            if a.get(field) != b.get(field):
-                lines.append(f"{key}: {field} differs\n  parent: {a.get(field)!r}\n"
-                             f"  child:  {b.get(field)!r}")
+            x, y = a.get(field), b.get(field)
+            if x == y:
+                continue
+            if field in ("stdout", "stderr"):
+                lines.append(_stream_lines(key, field, x, y))
+            else:
+                lines.append(f"{key}: {field} differs\n  parent: {x!r}\n  child:  {y!r}")
     return lines
 
 
