@@ -4,7 +4,8 @@ Complex numbers are [re, im] pairs of decimal numbers, matrices are lists
 of rows. Floats go through Python's repr, which is the shortest decimal
 that round-trips, so a written set re-reads to bit-identical matrices.
 An operator file's matrix is instead one base64 string of its row-major
-little-endian complex128 bytes; readers also accept the rows form.
+little-endian complex128 bytes, encoded and written piece by piece from
+the matrix's own buffer; readers also accept the rows form.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import json
 import math
 import os
 import sys
-from itertools import chain
-from typing import Any
+from contextlib import contextmanager
+from typing import Any, Iterator, TextIO
 
 import numpy as np
 
@@ -46,38 +47,16 @@ def matrix_to_rows(a: np.ndarray) -> list[list[list[float]]]:
 
 
 def rows_to_matrix(rows: Any, context: str) -> np.ndarray:
-    """A list of rows of [re, im] pairs as a complex matrix.
-
-    One flattening pass checks that every row is a list, every entry a list
-    or tuple and every number an int or a float (not a bool), and numpy
-    converts all numbers at once. Viewed as complex128, the float64 pairs
-    carry the bits of complex(float(re), float(im)), signed zeros included.
-    Input that fails any of this takes the entry-by-entry walk, which
-    accepts what it always accepted and otherwise names the offending row.
-    """
+    """A list of rows of [re, im] pairs as a complex matrix; an error names its row."""
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{context}: matrix must be a non-empty list of rows")
-    if all(isinstance(row, list) for row in rows):
-        entries = list(chain.from_iterable(rows))
-        if set(map(type, entries)) <= {list, tuple} and set(
-            map(type, chain.from_iterable(entries))
-        ) <= {int, float}:
-            try:
-                a = np.array(rows, dtype=np.float64)
-            except (ValueError, OverflowError):  # ragged rows or pairs, a huge integer
-                a = None
-            if a is not None and a.shape == (len(rows), len(rows[0]), 2):
-                return a.view(np.complex128)[..., 0]
-    width = None
     out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list):
             raise InputError(f"{context}: row {r} is not a list")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
+        if len(row) != len(rows[0]):
             raise InputError(
-                f"{context}: row {r} has {len(row)} entries, expected {width}"
+                f"{context}: row {r} has {len(row)} entries, expected {len(rows[0])}"
             )
         out.append([pair_to_complex(e, f"{context}, row {r}") for e in row])
     return np.asarray(out, dtype=np.complex128)
@@ -179,17 +158,6 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
         raise InputError(f"candidate set: {exc}") from exc
 
 
-def operator_to_obj(m: MeasurementOperator) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": m.kind.value,
-        "n": m.n,
-        "dim": m.dim,
-        "provenance": m.provenance.value,
-        "matrix": base64.b64encode(m.matrix.astype("<c16", copy=False).tobytes()).decode("ascii"),
-    }
-
-
 def operator_from_obj(obj: Any) -> MeasurementOperator:
     _require_version(obj, "operator file")
     try:
@@ -233,11 +201,24 @@ def load_json(path: str, context: str) -> Any:
         raise InputError(f"{context}: {path} is not valid JSON: {exc}") from exc
 
 
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The path opened for writing, or stdout for None; an OSError names the path."""
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
     """Write to the path, or to stdout when the path is None.
 
-    Reports are indented for reading. Set and operator files are written
-    compact (``indent=None``), which lets CPython use its C encoder: the
+    Reports are indented for reading. Set files are written compact
+    (``indent=None``), which lets CPython use its C encoder: the
     indenting one is pure Python and several times slower on a matrix.
 
     NaN and Infinity are not JSON. Every number written derives from
@@ -249,20 +230,12 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
         text = json.dumps(obj, indent=indent, allow_nan=False)
     except ValueError as exc:
         raise InternalCheckError(f"cannot write strict JSON: {exc}") from exc
-    if path is None:
-        sys.stdout.write(text + "\n")
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                # two writes: text + "\n" would copy an operator file's text once more
-                fh.write(text)
-                fh.write("\n")
-        except OSError as exc:
-            raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+    with _output(path) as fh:
+        fh.write(text + "\n")
 
 
 def require_writable(path: str | None) -> None:
-    """Raise now the InputError ``dump_json`` would raise for ``path``, creating nothing.
+    """Raise now the InputError a write to ``path`` would raise, creating nothing.
 
     Refused with open's reason: a directory at the path, a missing parent,
     one that is not a directory, and a file or parent that the process may
@@ -302,4 +275,19 @@ def read_operator(path: str) -> MeasurementOperator:
 
 
 def write_operator(m: MeasurementOperator, path: str | None) -> None:
-    dump_json(operator_to_obj(m), path, indent=None)
+    """Write json.dumps of the operator object plus a newline, byte for byte.
+
+    The base64 string is never held whole: each 1 MiB piece of it encodes a
+    slice of 3 * 2**18 bytes of the matrix's own buffer, and slices of a
+    multiple of 3 bytes encode, without padding, to the pieces of the string
+    that all the bytes give.
+    """
+    head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": m.kind.value, "n": m.n,
+                       "dim": m.dim, "provenance": m.provenance.value})
+    raw = np.ascontiguousarray(m.matrix, "<c16").reshape(-1).view(np.uint8)
+    step = 3 << 18
+    with _output(path) as fh:
+        fh.write(head[:-1] + ', "matrix": "')
+        for start in range(0, raw.size, step):
+            fh.write(base64.b64encode(raw[start:start + step]).decode("ascii"))
+        fh.write('"}\n')

@@ -33,6 +33,7 @@ from mixcomp.errors import (
 from mixcomp.linalg import Tolerances, _hermitian_part, kron, kron_all, min_eigenvalue
 from mixcomp.oracle import (
     classify_tuple,
+    decide_exists,
     outcome_probability,
     verify_nontrivial,
     verify_unambiguous,
@@ -148,6 +149,40 @@ class TestConditionInvariance:
 
             kept = sorted(stands_for(perm[a]) for a in mov.survivors)
             assert kept == sorted(stands_for(i) for i in rep.survivors)
+
+
+OPERATOR_BUILDERS = {
+    "eq13": lambda cs: build_m1(cs, 2),
+    "eq27": lambda cs: build_m2_product(cs, 2),
+    "eq24": lambda cs: build_m2_pair(cs, 2),
+    "M1_maximal": lambda cs: build_maximal(cs, 2, OperatorKind.M1),
+    "M2_maximal": lambda cs: build_maximal(cs, 2, OperatorKind.M2),
+}
+
+
+class TestOperatorInvariance:
+    """A common unitary U maps every built operator by U (x) U and leaves existence."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 3), k=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_conjugation_maps_built_operators(self, d, k, seed):
+        cs = gaussian_set(d, k, seed)
+        rng = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        turned = candidate_set([u @ cs.matrix(i) @ u.conj().T for i in range(k)])
+        u2 = kron(u, u)
+        for name, build in OPERATOR_BUILDERS.items():
+            try:
+                op = build(cs)
+            except (ConditionNotMetError, TupleTooShortError) as exc:
+                with pytest.raises(type(exc)):
+                    build(turned)
+                continue
+            rot = build(turned)
+            assert np.max(np.abs(u2 @ op.matrix @ u2.conj().T - rot.matrix)) <= 1e-9, name
+            assert rot.rank() == op.rank(), name
+        for kind in OperatorKind:
+            assert decide_exists(turned, 2, kind) == decide_exists(cs, 2, kind), kind
 
 
 class TestReduceCandidates:

@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,10 +141,66 @@ class TestCandidateSetSchema:
         assert "'a'" in str(err.value)
 
 
+def reference_obj(m):
+    """The operator object whose json.dumps, plus a newline, an operator file must be."""
+    return {
+        "schema_version": 1,
+        "kind": m.kind.value,
+        "n": m.n,
+        "dim": m.dim,
+        "provenance": m.provenance.value,
+        "matrix": base64.b64encode(m.matrix.astype("<c16", copy=False).tobytes()).decode("ascii"),
+    }
+
+
+def random_operator(side, n=1):
+    rng = np.random.default_rng(side)
+    m = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    return MeasurementOperator(n=n, dim=round(side ** (1 / n)), matrix=m,
+                               provenance=Provenance.M1_MAXIMAL)
+
+
+# signed zeros, subnormals and +-1e300: entries whose bits a text round trip could lose
+ODD_ENTRIES = np.array([[-0.0, 5e-324 - 0.0j], [complex(1e300, -1e300), complex(-0.0, 2.5e-310)]])
+
+WRITTEN = {
+    "orth2-eq24": lambda: build_m2_pair(demo_set("orth2"), 2),
+    "D=1": lambda: MeasurementOperator(n=1, dim=1, matrix=np.ones((1, 1)),
+                                       provenance=Provenance.M2_MAXIMAL),
+    "odd-entries": lambda: MeasurementOperator(n=1, dim=2, matrix=ODD_ENTRIES,
+                                               provenance=Provenance.M1_MAXIMAL),
+    # 1 920 000 base64 characters: two 1 MiB pieces, the second one short
+    "D=300": lambda: random_operator(300),
+}
+
+
 class TestOperatorSchema:
+    @pytest.mark.parametrize("make", WRITTEN.values(), ids=WRITTEN.keys())
+    def test_written_bytes_are_json_dumps_of_the_object(self, make, tmp_path, capsys):
+        op = make()
+        expected = json.dumps(reference_obj(op)) + "\n"
+        path = tmp_path / "op.json"
+        io.write_operator(op, str(path))
+        assert path.read_bytes() == expected.encode("ascii")
+        io.write_operator(op, None)
+        assert capsys.readouterr().out == expected
+
+    def test_write_holds_no_whole_copy_of_the_text(self, tmp_path):
+        op = random_operator(576, n=2)
+        path = str(tmp_path / "op.json")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            io.write_operator(op, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the base64 text alone is 4/3 of the matrix's bytes
+        assert peak - before <= 2.5 * op.matrix.nbytes
+
     def test_round_trip(self):
         op = build_m2_pair(demo_set("orth2"), 2)
-        back = io.operator_from_obj(io.operator_to_obj(op))
+        back = io.operator_from_obj(reference_obj(op))
         assert back.n == op.n and back.dim == op.dim
         assert back.provenance is op.provenance
         assert np.array_equal(back.matrix, op.matrix)
@@ -151,15 +208,15 @@ class TestOperatorSchema:
 
     def test_matrix_is_base64_of_little_endian_complex128(self):
         op = build_m2_pair(demo_set("orth2"), 2)
-        text = io.operator_to_obj(op)["matrix"]
+        text = reference_obj(op)["matrix"]
         assert isinstance(text, str) and len(text) == 4 * -(-16 * 16 // 3)
         raw = base64.b64decode(text, validate=True)
         assert np.frombuffer(raw, "<c16").reshape(4, 4).tobytes() == op.matrix.tobytes()
 
     def test_round_trip_is_bit_exact(self):
-        m = np.array([[-0.0, 5e-324 - 0.0j], [complex(1e300, -1e300), complex(-0.0, 2.5e-310)]])
+        m = ODD_ENTRIES
         op = MeasurementOperator(n=1, dim=2, matrix=m, provenance=Provenance.M1_MAXIMAL)
-        back = io.operator_from_obj(json.loads(json.dumps(io.operator_to_obj(op))))
+        back = io.operator_from_obj(json.loads(json.dumps(reference_obj(op))))
         assert back.matrix.tobytes() == m.tobytes()
         assert np.signbit(back.matrix[0, 0].real) and np.signbit(back.matrix[1, 1].real)
 
@@ -179,14 +236,14 @@ class TestOperatorSchema:
     ], ids=["star", "non-ascii", "newline", "padding", "empty", "partial-entry",
             "not-square", "wrong-side", "nan", "float", "object", "null"])
     def test_malformed_binary_matrix_rejected(self, matrix, message):
-        obj = {**io.operator_to_obj(build_m2_pair(demo_set("orth2"), 2)), "matrix": matrix}
+        obj = {**reference_obj(build_m2_pair(demo_set("orth2"), 2)), "matrix": matrix}
         with pytest.raises(InputError) as err:
             io.operator_from_obj(obj)
         assert message in str(err.value)
 
     def test_kind_provenance_mismatch_rejected(self):
         op = build_m2_pair(demo_set("orth2"), 2)
-        obj = io.operator_to_obj(op)
+        obj = reference_obj(op)
         obj["kind"] = "M1"
         with pytest.raises(InputError) as err:
             io.operator_from_obj(obj)
@@ -194,7 +251,7 @@ class TestOperatorSchema:
 
     def test_unknown_provenance_rejected(self):
         op = build_m2_pair(demo_set("orth2"), 2)
-        obj = io.operator_to_obj(op)
+        obj = reference_obj(op)
         obj["provenance"] = "homemade"
         with pytest.raises(InputError):
             io.operator_from_obj(obj)
