@@ -247,15 +247,16 @@ def format_summary(rep: dict) -> str:
         f"different-outcome {str(ex['m2']).lower()}"
     )
     lines.append("operators:")
+    width = max([12] + [len(_fmt_tuple(op["best_tuple"])) + 1 for op in rep["operators"]])
     lines.append(
         f"  {'provenance':<17}{'rank':>5}  {'unambig':<8}{'nontriv':<8}"
-        f"{'best tuple':<12}{'p':<10}"
+        f"{'best tuple':<{width}}{'p':<10}"
     )
     for op in rep["operators"]:
         lines.append(
             f"  {op['provenance']:<17}{op['rank']:>5}  "
             f"{str(op['unambiguous']).lower():<8}{str(op['nontrivial']).lower():<8}"
-            f"{_fmt_tuple(op['best_tuple']):<12}{op['best_probability']:<10.6g}"
+            f"{_fmt_tuple(op['best_tuple']):<{width}}{op['best_probability']:<10.6g}"
         )
     povm = rep["povm"]
     if povm["assembled"]:

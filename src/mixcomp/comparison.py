@@ -17,12 +17,13 @@ Every constructed operator is a projector, so its self-check and its rank
 need no eigensolve: eps <= tol.neg puts every eigenvalue within eps of 0 or
 1, and a small enough eps makes the rank the rounded trace. The explicit
 operators (eq. 13, 24 and 27) are Kronecker products of d x d projectors and
-keep those factors in their memo, so their eps comes from d x d work and
-their POVM's lowest eigenvalue from d x d singular values, with no D x D
-product or eigensolve. A non-zero M1 maximal operator stores its eps at
-build time from N x N work on its span basis. Any other operator takes eps
-from one D x D product S S; the zero matrix needs not even that. Only when
-eps proves nothing does the dense check run its eigvalsh; ``residuals()``,
+keep those factors in their memo, so their POVM's lowest eigenvalue comes
+from d x d singular values. Each builder hands its operator the certificate
+(eps, Re tr S) it can prove: the explicit operators from d x d work on their
+factors, a non-zero M1 maximal operator from N x N work on its span basis,
+and every zero maximal operator (0, 0). Any other operator takes eps from
+one D x D product S S; a zero matrix needs not even that. Only when eps
+proves nothing does the dense check run its eigvalsh; ``residuals()``,
 which ``verify`` reports, and the oracle, which reads only the matrix, stay
 dense.
 
@@ -31,10 +32,10 @@ tuple class's product supports. That span is the range of the class's
 generator, Sum_i P_i^(x)n for the identical class and (Sum_i P_i)^(x)n minus
 that sum for the different class. When the class offers at least D = d**n
 product columns, one Cholesky factorization of the shifted generator can
-prove the span full, and the operator is then the zero matrix without a span
-loop. Otherwise the span's orthonormal basis Q (D x N) is built column by
-column. The M1 operator is I - Q Q^dagger, certified from Q^dagger Q, or the
-zero matrix when N = D. The M2 operator keeps the projector of the SVD
+prove the span full without a span loop. Otherwise the span's orthonormal
+basis Q (D x N) is built column by column. A full span, proven or reached,
+gives the zero matrix. Otherwise the M1 operator is I - Q Q^dagger,
+certified from Q^dagger Q, and the M2 operator keeps the projector of the SVD
 complement of Q until a tie rule lands: I - Q Q^dagger, equal up to
 round-off, moves which slot-permuted tuples win exact ties in the oracle's
 reported tuples. The identical class of M1 has no such ties.
@@ -248,12 +249,11 @@ class MeasurementOperator:
             self._memo["hermitian"] = herm_residual(self.matrix)
         return self._memo["hermitian"]
 
-    def require_hermitian(self, tol: Tolerances | None = None) -> None:
+    def require_hermitian(self, tol: Tolerances = Tolerances()) -> None:
         """Raise NotHermitianError when max |M - M^dagger| exceeds tol.sym."""
-        t = tol or Tolerances()
         herm = self._hermitian()
-        if herm > t.sym:
-            raise NotHermitianError(herm, t.sym)
+        if herm > tol.sym:
+            raise NotHermitianError(herm, tol.sym)
 
     def _projector_bound(self) -> tuple[float, float, float]:
         """max |S^2 - S|, eps and Re tr S for S = (M + M^dagger)/2, from one product.
@@ -285,6 +285,8 @@ class MeasurementOperator:
                 tr = float(np.trace(sym).real)
                 eps = float(np.sqrt(np.vdot(p, p).real)) + _gamma(dim) * fro2
                 eps *= 1 + 2 * _gamma(dim * dim + 4)
+                # even if every square underflows: eps = 0 is the zero matrix's alone
+                eps = max(eps, float(np.finfo(np.float64).tiny))
                 # S is spent: its real part takes |P| instead of a new array
                 self._memo["bound"] = float(np.max(np.abs(p, out=sym.real))), eps, tr
         return self._memo["bound"]
@@ -292,16 +294,14 @@ class MeasurementOperator:
     def _certificate(self) -> tuple[float, float]:
         """eps >= ||S^2 - S||_F and Re tr S, the inputs of the projector certificates.
 
-        The M1 maximal operator stores both at build time (``_span_complement``).
-        An operator that keeps its Kronecker factors takes eps from them
-        (``_factor_eps``); both take the trace from an O(D) read, as the
-        diagonal of S is exactly the real part of the matrix's. Any other
-        operator takes both from the one product of ``_projector_bound``.
+        A builder that can prove both stores them at build time: the explicit
+        operators from their Kronecker factors (``_factor_eps``), the M1
+        maximal from its span basis (``_span_complement``), and every zero
+        maximal operator as (0, 0). Any other operator takes both from the
+        one product of ``_projector_bound``.
         """
         if "certificate" not in self._memo:
-            factors = self._memo.get("factors")
-            self._memo["certificate"] = self._projector_bound()[1:] if factors is None else (
-                _factor_eps(factors), float(np.trace(self.matrix).real))
+            self._memo["certificate"] = self._projector_bound()[1:]
         return self._memo["certificate"]
 
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
@@ -322,15 +322,14 @@ class MeasurementOperator:
             }, w
         return self._memo["residuals"]
 
-    def rank(self, tol: Tolerances | None = None) -> int:
+    def rank(self, tol: Tolerances = Tolerances()) -> int:
         """Eigenvalues above tol.rank times the largest; M must be Hermitian.
 
         A near-projector's rank is read off its trace when ``eps`` proves
         the count; otherwise, and whenever the spectrum is already kept, it
         is counted from the one eigvalsh of ``residuals``.
         """
-        t = tol or Tolerances()
-        self.require_hermitian(t)
+        self.require_hermitian(tol)
         if "residuals" not in self._memo:
             # With eps < 1/4, |lambda^2 - lambda| <= eps puts every eigenvalue
             # within near = (1 - sqrt(1 - 4 eps))/2 of 0 or of 1, written
@@ -342,21 +341,22 @@ class MeasurementOperator:
             # tol.rank * max |lambda| when tol.rank (1 + near) < 1 - near,
             # and the others, at most near, stay at or below it when
             # near < tol.rank (1 - near). The count is then exact for S;
-            # eigvalsh would only approximate the same eigenvalues.
+            # eigvalsh would only approximate the same eigenvalues. For c = 0
+            # only near = 0, the zero matrix, proves it.
             eps, tr = self._certificate()
             dim = len(self.matrix)
             if 4 * eps < 1:
                 near = 2 * eps / (1 + np.sqrt(1 - 4 * eps))
                 count = round(tr)
                 if (
-                    count >= 1
+                    (count >= 1 or near == 0)
                     and dim * (near + 2 * _gamma(dim)) < 0.5
-                    and near < t.rank * (1 - near)
-                    and t.rank * (1 + near) < 1 - near
+                    and near < tol.rank * (1 - near)
+                    and tol.rank * (1 + near) < 1 - near
                 ):
                     return count
         a = np.abs(self._spectrum()[1])
-        return int(np.sum(a > t.rank * a.max()))
+        return int(np.sum(a > tol.rank * a.max()))
 
     def residuals(self) -> dict[str, float]:
         """Deviation of the operator from its invariants.
@@ -422,7 +422,7 @@ class ConditionReport:
         return self.m1_witnesses[0] if self.m2_structural else None
 
 
-def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> ConditionReport:
+def check_conditions(cs: CandidateSet, tol: Tolerances = Tolerances()) -> ConditionReport:
     """Evaluate all feasibility conditions in one geometry pass.
 
     The m1 condition asks for some support escaping the span of the others
@@ -434,26 +434,25 @@ def check_conditions(cs: CandidateSet, tol: Tolerances | None = None) -> Conditi
     The report is memoized on ``cs`` per Tolerances value; the set is
     frozen, so a kept report never goes stale.
     """
-    t = tol or Tolerances()
-    if t in cs._conditions:
-        return cs._conditions[t]
+    if tol in cs._conditions:
+        return cs._conditions[tol]
     k = cs.k
-    supports = tuple(support_of(st, t) for st in cs.states)
+    supports = tuple(support_of(st, tol) for st in cs.states)
     others = tuple(
-        subspace_sum([s for j, s in enumerate(supports) if j != i], t) for i in range(k)
+        subspace_sum([s for j, s in enumerate(supports) if j != i], tol) for i in range(k)
     )
-    escapes = tuple(not contains(others[i], supports[i], t) for i in range(k))
-    others_escape = tuple(not contains(supports[i], others[i], t) for i in range(k))
-    inside = [[contains(supports[j], supports[i], t) for j in range(k)] for i in range(k)]
+    escapes = tuple(not contains(others[i], supports[i], tol) for i in range(k))
+    others_escape = tuple(not contains(supports[i], others[i], tol) for i in range(k))
+    inside = [[contains(supports[j], supports[i], tol) for j in range(k)] for i in range(k)]
     survivors = tuple(
         i for i in range(k)
         if not any(j != i and inside[i][j] and (not inside[j][i] or j < i) for j in range(k))
     )
-    cs._conditions[t] = ConditionReport(escapes, others_escape, survivors, supports, others)
-    return cs._conditions[t]
+    cs._conditions[tol] = ConditionReport(escapes, others_escape, survivors, supports, others)
+    return cs._conditions[tol]
 
 
-def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[int, ...]:
+def reduce_candidates(cs: CandidateSet, tol: Tolerances = Tolerances()) -> tuple[int, ...]:
     """Indices of candidates that survive support-containment reduction.
 
     A candidate is dropped when its support sits inside another candidate's
@@ -463,17 +462,14 @@ def reduce_candidates(cs: CandidateSet, tol: Tolerances | None = None) -> tuple[
     return check_conditions(cs, tol).survivors
 
 
-def _prepare(
-    cs: CandidateSet, n: int, tol: Tolerances | None, cap: int
-) -> tuple[Tolerances, ConditionReport]:
+def _prepare(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> ConditionReport:
     """Every builder's preamble: n >= 2, then the cap, then the one geometry pass."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ShapeError(f"tuple size n must be an integer >= 2, got {n!r}")
     composite = _composite(cs.dim, n, cap)
     if composite is None or composite > cap:
         raise CapExceededError(cs.dim, n, cap, composite)
-    t = tol or Tolerances()
-    return t, check_conditions(cs, t)
+    return check_conditions(cs, tol)
 
 
 def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator:
@@ -495,23 +491,25 @@ def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator
     return op
 
 
-def _product(cs, n, factors, provenance, t) -> MeasurementOperator:
+def _product(cs, n, factors, provenance, tol) -> MeasurementOperator:
     """The self-checked Kronecker product of ``factors``, padded with identities to n slots.
 
-    The padded factors stay in the operator's memo, for its certificates
-    and its POVM; the oracle never reads them.
+    The padded factors stay in the memo for the POVM, beside the certificate
+    they prove with d x d work; the trace is an O(D) read, as S's diagonal is
+    exactly the real part of the matrix's. The oracle reads neither.
     """
     factors = factors + [identity(cs.dim)] * (n - len(factors))
     op = MeasurementOperator(n, cs.dim, kron_all(factors), provenance)
     op._memo["factors"] = factors
-    return _self_check(op, t)
+    op._memo["certificate"] = _factor_eps(factors), float(np.trace(op.matrix).real)
+    return _self_check(op, tol)
 
 
 def build_m1(
     cs: CandidateSet,
     n: int,
     i0: int | None = None,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     cap: int = DEFAULT_CAP,
 ) -> MeasurementOperator:
     """Identical-outcome operator P tensored n times.
@@ -520,7 +518,7 @@ def build_m1(
     except the witness i0's. With i0 = None the smallest witness is used.
     Raises ConditionNotMetError when i0 is not a witness or none exists.
     """
-    t, report = _prepare(cs, n, tol, cap)
+    report = _prepare(cs, n, tol, cap)
     witnesses = report.m1_witnesses
     if not witnesses:
         raise ConditionNotMetError(
@@ -534,13 +532,13 @@ def build_m1(
             f"index {i0} is not a witness; witnesses are {list(witnesses)}"
         )
     p = projector(complement(report.others[i0]))
-    return _product(cs, n, [p] * n, Provenance.M1_EQ13, t)
+    return _product(cs, n, [p] * n, Provenance.M1_EQ13, tol)
 
 
 def build_m2_product(
     cs: CandidateSet,
     n: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     cap: int = DEFAULT_CAP,
 ) -> MeasurementOperator:
     """Different-outcome operator with one complement projector per survivor.
@@ -551,7 +549,7 @@ def build_m2_product(
     because any all-identical input meets its own survivor's complement in
     some slot; non-trivial because survivor supports are incomparable.
     """
-    t, report = _prepare(cs, n, tol, cap)
+    report = _prepare(cs, n, tol, cap)
     failures = report.m2_failures
     if failures:
         raise ConditionNotMetError(
@@ -563,13 +561,13 @@ def build_m2_product(
     if n < r:
         raise TupleTooShortError(n, r)
     factors = [projector(complement(report.supports[i])) for i in report.survivors]
-    return _product(cs, n, factors, Provenance.M2_PRODUCT_EQ27, t)
+    return _product(cs, n, factors, Provenance.M2_PRODUCT_EQ27, tol)
 
 
 def build_m2_pair(
     cs: CandidateSet,
     n: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
     cap: int = DEFAULT_CAP,
 ) -> MeasurementOperator:
     """Different-outcome operator using only the first two slots.
@@ -578,7 +576,7 @@ def build_m2_pair(
     of the span of the other supports, the rest are identities. Valid for
     every n >= 2 once the structural condition holds at witness i0.
     """
-    t, report = _prepare(cs, n, tol, cap)
+    report = _prepare(cs, n, tol, cap)
     i0 = report.structural_witness
     if i0 is None:
         raise ConditionNotMetError(
@@ -587,7 +585,7 @@ def build_m2_pair(
             "it individually"
         )
     factors = [projector(complement(s)) for s in (report.supports[i0], report.others[i0])]
-    return _product(cs, n, factors, Provenance.M2_PAIR_EQ24, t)
+    return _product(cs, n, factors, Provenance.M2_PAIR_EQ24, tol)
 
 
 def _tuple_span(tuples, supports, threshold, full_dim, offered):
@@ -685,7 +683,7 @@ def build_maximal(
     n: int,
     which: OperatorKind,
     cap: int = DEFAULT_CAP,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> MeasurementOperator:
     """Largest operator compatible with the given unambiguity constraint.
 
@@ -698,45 +696,43 @@ def build_maximal(
     The span is first tested for fullness through its generator (see
     ``_span_certificate``): when the class offers at least D product columns
     and one Cholesky factorization proves the generator's smallest
-    eigenvalue above a cut, the span loop would reach D columns, so the zero
-    matrix is returned without it. A factorization that fails proves
-    nothing and falls through to the loop.
-    Otherwise the span's basis Q (D x N) is built column by column with
-    modified Gram-Schmidt. The M1 operator is then I - Q Q^dagger, with its
-    certificate from Q^dagger Q (``_span_complement``), or the exact zero
-    matrix when N = D. The M2 operator keeps the projector of the SVD
+    eigenvalue above a cut, the span loop would reach D columns, so it does
+    not run. A factorization that fails proves nothing and falls through to
+    the loop, which builds the span's basis Q (D x N) column by column with
+    modified Gram-Schmidt. A full span, proven or reached at N = D, gives
+    the exact zero matrix with its certificate (0, 0). Otherwise the M1
+    operator is I - Q Q^dagger, with its certificate from Q^dagger Q
+    (``_span_complement``). The M2 operator keeps the projector of the SVD
     complement of Q until a tie rule lands, since I - Q Q^dagger, though
     equal up to round-off, would change which slot-permuted tuples win exact
     ties in the oracle.
     """
     which = OperatorKind(which)
-    t, report = _prepare(cs, n, tol, cap)
-    supports = report.supports
+    supports = _prepare(cs, n, tol, cap).supports
     full_dim = cs.dim ** n
     prov = Provenance.M2_MAXIMAL if which is OperatorKind.M2 else Provenance.M1_MAXIMAL
     offered = _offered_columns(n, supports, which)
-    cert = _span_certificate(n, supports, which, t.rank, full_dim, offered)
-    certificate = None  # the M1 complement's (eps, Re tr), known at build time
-    if cert is not None and cert[0] > cert[1]:
-        matrix = np.zeros((full_dim, full_dim))
-    else:
+    cert = _span_certificate(n, supports, which, tol.rank, full_dim, offered)
+    cols = full_dim  # a span proven full needs no loop
+    if cert is None or cert[0] <= cert[1]:
         # kron products of orthonormal columns have unit norm, so the MGS
         # drop threshold is the bare relative tolerance
         if which is OperatorKind.M2:
             tuples = [(i,) * n for i in range(cs.k)]
         else:
             tuples = (c for c in itertools.product(range(cs.k), repeat=n) if len(set(c)) > 1)
-        q = _tuple_span(tuples, supports, t.rank, full_dim, offered)
-        if which is OperatorKind.M2:
-            matrix = projector(complement(Subspace(q)))
-        elif q.shape[1] == full_dim:
-            matrix = np.zeros((full_dim, full_dim))
-        else:
-            matrix, certificate = _span_complement(q)
+        q = _tuple_span(tuples, supports, tol.rank, full_dim, offered)
+        cols = q.shape[1]
+    if cols == full_dim:
+        matrix, certificate = np.zeros((full_dim, full_dim)), (0.0, 0.0)
+    elif which is OperatorKind.M2:
+        matrix, certificate = projector(complement(Subspace(q))), None
+    else:
+        matrix, certificate = _span_complement(q)
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
     if certificate is not None:
         op._memo["certificate"] = certificate
-    return _self_check(op, t)
+    return _self_check(op, tol)
 
 
 @dataclass(frozen=True)
@@ -764,7 +760,7 @@ class PovmAssembly:
 def assemble_povm(
     m1: MeasurementOperator,
     m2: MeasurementOperator,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> PovmAssembly:
     """Complete two conclusive operators into a POVM.
 
@@ -781,7 +777,6 @@ def assemble_povm(
     operator is never zero: each factor projects onto a non-empty
     complement). Otherwise ``min_eigenvalue`` solves I - sM1 - sM2.
     """
-    t = tol or Tolerances()
     if m1.n != m2.n or m1.dim != m2.dim:
         raise ShapeError(
             f"operators disagree on geometry: n={m1.n},dim={m1.dim} vs n={m2.n},dim={m2.dim}"
@@ -795,8 +790,8 @@ def assemble_povm(
         rest -= scale * m2.matrix
         # 0.0 - overlap at s = 1, so a zero overlap gives +0.0, and exactly
         # (1 - overlap) / 2 at s = 1/2
-        lowest = min_eigenvalue(rest, t) if overlap is None else (1.0 - scale) - scale * overlap
-        if lowest >= -t.neg:
+        lowest = min_eigenvalue(rest, tol) if overlap is None else (1.0 - scale) - scale * overlap
+        if lowest >= -tol.neg:
             return PovmAssembly(scale * m1.matrix, scale * m2.matrix, rest, scale, lowest)
     raise InternalCheckError(
         "inconclusive operator is not PSD even after halving; "

@@ -73,13 +73,12 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return sym
 
 
-def require_hermitian(a, tol: Tolerances | None = None, context: str = "matrix") -> np.ndarray:
+def require_hermitian(a, tol: Tolerances = Tolerances(), context: str = "matrix") -> np.ndarray:
     """Validate Hermiticity against tol.sym; return the symmetrized (A + A^dagger)/2."""
     m = as_matrix(a, context)
     res = herm_residual(m)
-    sym = (tol or Tolerances()).sym
-    if res > sym:
-        raise NotHermitianError(res, sym, context)
+    if res > tol.sym:
+        raise NotHermitianError(res, tol.sym, context)
     return _hermitian_part(m)
 
 
@@ -107,7 +106,7 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(kron, factors[1:], np.asarray(factors[0], dtype=np.complex128))
 
 
-def hermitian_eigen(a, tol: Tolerances | None = None,
+def hermitian_eigen(a, tol: Tolerances = Tolerances(),
                     context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -158,7 +157,7 @@ def _mgs_span(blocks: Iterable[np.ndarray], threshold: float, dim: int, cap: int
     return q[:, :m]
 
 
-def orthonormal_columns(vectors: np.ndarray, tol: Tolerances | None = None) -> np.ndarray:
+def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = Tolerances()) -> np.ndarray:
     """Orthonormal basis for the span of the columns of a (d, m) array.
 
     m = 0 is legal. The drop threshold is ``tol.rank`` times the largest
@@ -173,10 +172,10 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances | None = None) -> n
     scale = float(np.max(np.linalg.norm(cols, axis=0), initial=0.0))
     if not scale:
         return np.zeros((d, 0), dtype=np.complex128)
-    return _mgs_span([cols], (tol or Tolerances()).rank * scale, d, min(d, m))
+    return _mgs_span([cols], tol.rank * scale, d, min(d, m))
 
 
-def min_eigenvalue(a, tol: Tolerances | None = None) -> float:
+def min_eigenvalue(a, tol: Tolerances = Tolerances()) -> float:
     """Lowest eigenvalue of a Hermitian matrix from one eigvalsh, without eigenvectors.
 
     The input is validated and symmetrized as in ``hermitian_eigen``.

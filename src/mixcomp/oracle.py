@@ -115,27 +115,28 @@ class NontrivialityResult(NamedTuple):
     best_distinct_tuple: tuple[int, ...] | None
 
 
-def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
-    """Tr(M rho_t) for all k**n tuples t, as a real vector in lexicographic order.
+def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> tuple[np.ndarray, float]:
+    """Tr(M rho_t) for all k**n tuples t, and the round-off window of ``_class_max``.
 
-    M[I, J] is reshaped to (d,)*2n and its axes interleaved to
-    (i1 j1, ..., in jn), so each slot is one axis of length d*d. Contracting
-    a slot against S[a, i*d + j] = rho_a[j, i] replaces it by a candidate
-    axis of length k, leading slot first. The leading candidates go in
-    chunks sized so that the interleaved copy of M, the result vector and
-    two consecutive intermediates of a chunk fit in two D x D arrays, as
-    much as the per-tuple product state and trace hold. When k > d*d the
-    k**n results alone can outgrow M; chunks then shrink to one candidate,
-    whose intermediates stay smaller than the result vector.
+    The vector is real, in lexicographic order. M[I, J] is reshaped to
+    (d,)*2n and its axes interleaved to (i1 j1, ..., in jn), so each slot is
+    one axis of length d*d. Contracting a slot against S[a, i*d + j] =
+    rho_a[j, i] replaces it by a candidate axis of length k, leading slot
+    first. The leading candidates go in chunks sized so that the
+    interleaved copy of M, the result vector and two consecutive
+    intermediates of a chunk fit in two D x D arrays, as much as the
+    per-tuple product state and trace hold. When k > d*d the k**n results
+    alone can outgrow M; chunks then shrink to one candidate, whose
+    intermediates stay smaller than the result vector.
 
-    The vector is kept read-only on ``m._memo`` with its set, and reused only
-    for that very set object.
+    The vector is kept read-only on ``m._memo`` with its set and its window,
+    and reused only for that very set object.
     """
     if cs.dim != m.dim:
         raise ShapeError(f"set dimension {cs.dim} does not match operator dim = {m.dim}")
     kept = m._memo.get("probabilities")
     if kept is not None and kept[0] is cs:
-        return kept[1]
+        return kept[1:]
     d, k, n = cs.dim, cs.k, m.n
     dd = d * d
     s = np.stack([cs.matrix(a).T.reshape(dd) for a in range(k)])
@@ -155,8 +156,10 @@ def _probabilities(m: MeasurementOperator, cs: CandidateSet) -> np.ndarray:
             t = np.matmul(s, t.reshape(rows, dd, rest // dd)).reshape(rows * k, rest // dd)
         out[a0 * block:a0 * block + len(t)] = t[:, 0].real
     out.setflags(write=False)
-    m._memo["probabilities"] = (cs, out)
-    return out
+    depth = n * (d ** 2 + 6) + 2 * n * np.log2(d)
+    delta = max(1e-12, 2 * depth * np.finfo(float).eps) * max(1.0, float(np.linalg.norm(m.matrix)))
+    m._memo["probabilities"] = (cs, out, delta)
+    return out, delta
 
 
 def _class_mask(k: int, n: int, kind: TupleKind) -> np.ndarray:
@@ -181,24 +184,25 @@ def _class_max(
     m: MeasurementOperator,
     cs: CandidateSet,
     probs: np.ndarray,
+    delta: float,
     mask: np.ndarray,
     tol: Tolerances,
 ) -> tuple[float, tuple[int, ...]] | None:
     """Largest probability over the masked tuples and the tuple that has it.
 
-    The window ``delta`` exceeds twice the largest difference between the
-    screened and the per-tuple value of one tuple. Both add up the same
-    products M[I, J] rho_t[J, I], each within L*u*sum|M[I, J] rho_t[J, I]|
-    of the exact sum (u = eps/2). L counts the rounding steps: n*(d*d + 3)
-    for the n inner products of length d*d in the contraction, and
-    3n + 2*log2(D) for the product state and numpy's pairwise sum. By
-    Cauchy-Schwarz the sum is at most ||M||_F*||rho_t||_F, and ||rho_t||_F,
-    the product of the states' Frobenius norms, is at most 1 because purity
-    is at most 1. So the two values differ by at most
+    The window ``delta`` (from ``_probabilities``) exceeds twice the largest
+    difference between the screened and the per-tuple value of one tuple.
+    Both add up the same products M[I, J] rho_t[J, I], each within
+    L*u*sum|M[I, J] rho_t[J, I]| of the exact sum (u = eps/2). L counts the
+    rounding steps: n*(d*d + 3) for the n inner products of length d*d in
+    the contraction, and 3n + 2*log2(D) for the product state and numpy's
+    pairwise sum. By Cauchy-Schwarz the sum is at most ||M||_F*||rho_t||_F,
+    and ||rho_t||_F, the product of the states' Frobenius norms, is at most
+    1 because purity is at most 1. So the two values differ by at most
     (n*(d*d + 6) + 2*log2(D))*u*||M||_F, which is below 50*eps*||M||_F on
     small shapes; 1e-12*max(1, ||M||_F) covers it with room to spare unless
-    n*d*d runs into the thousands, where the bound itself sets the window.
-    A tuple screened below top - delta is then strictly below the per-tuple
+    n*d*d runs into the thousands, where the bound itself sets the window. A
+    tuple screened below top - delta is then strictly below the per-tuple
     maximum and can neither win nor tie, and when top <= tol.prob - delta
     every per-tuple value of the class is below tol.prob too.
     """
@@ -207,8 +211,6 @@ def _class_max(
         return None
     vals = probs[idx]
     top = float(vals.max())
-    depth = m.n * (cs.dim ** 2 + 6) + 2 * m.n * np.log2(cs.dim)
-    delta = max(1e-12, 2 * depth * np.finfo(float).eps) * max(1.0, float(np.linalg.norm(m.matrix)))
     shape = (cs.k,) * m.n
     if top <= tol.prob - delta:
         winner = idx[int(np.argmax(vals))]
@@ -223,7 +225,7 @@ def _class_max(
 
 
 def verify_unambiguous(
-    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances | None = None
+    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances = Tolerances()
 ) -> UnambiguityResult:
     """Certify that the operator never fires on the tuple class its kind forbids.
 
@@ -231,27 +233,25 @@ def verify_unambiguous(
     tuple (lexicographically first among ties; see the module docstring for
     ties at round-off level).
     """
-    t = tol or Tolerances()
     mask = _class_mask(cs.k, m.n, TUPLE_CLASSES[m.kind][0])
-    worst = _class_max(m, cs, _probabilities(m, cs), mask, t)
+    worst = _class_max(m, cs, *_probabilities(m, cs), mask, tol)
     worst_p, worst_t = worst if worst is not None else (0.0, ())
-    return UnambiguityResult(ok=worst_p <= t.prob, worst_probability=float(worst_p),
+    return UnambiguityResult(ok=worst_p <= tol.prob, worst_probability=float(worst_p),
                              worst_tuple=worst_t)
 
 
 def verify_nontrivial(
-    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances | None = None
+    m: MeasurementOperator, cs: CandidateSet, tol: Tolerances = Tolerances()
 ) -> NontrivialityResult:
     """Certify that the operator fires on at least one tuple its kind allows."""
-    t = tol or Tolerances()
     mask = _class_mask(cs.k, m.n, TUPLE_CLASSES[m.kind][1])
-    probs = _probabilities(m, cs)
-    best = _class_max(m, cs, probs, mask, t)
+    probs, delta = _probabilities(m, cs)
+    best = _class_max(m, cs, probs, delta, mask, tol)
     best_p, best_t = best if best is not None else (0.0, ())
-    best_d = _class_max(m, cs, probs, mask & _distinct_mask(cs.k, m.n), t)
+    best_d = _class_max(m, cs, probs, delta, mask & _distinct_mask(cs.k, m.n), tol)
     best_dp, best_dt = best_d if best_d is not None else (None, None)
     return NontrivialityResult(
-        ok=best_p > t.prob,
+        ok=best_p > tol.prob,
         best_probability=float(best_p),
         best_tuple=best_t,
         best_distinct_probability=best_dp,
@@ -281,7 +281,7 @@ def decide_exists(
     n: int,
     which: OperatorKind,
     cap: int = DEFAULT_CAP,
-    tol: Tolerances | None = None,
+    tol: Tolerances = Tolerances(),
 ) -> bool:
     """Exact existence decision for a non-trivial operator of the given kind.
 
@@ -289,5 +289,4 @@ def decide_exists(
     checks non-triviality on the matching tuple class. Correct because every
     valid operator's support lies inside the maximal projector's range.
     """
-    t = tol or Tolerances()
-    return certify_construction(build_maximal(cs, n, which, cap=cap, tol=t), cs, t)[1].ok
+    return certify_construction(build_maximal(cs, n, which, cap=cap, tol=tol), cs, tol)[1].ok

@@ -10,9 +10,6 @@ import numpy as np
 from .errors import CandidateSetError, NotPSDError, ShapeError, TraceError
 from .linalg import Tolerances, require_hermitian
 
-TRACE_TOL = 1e-9
-DUPLICATE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -34,8 +31,8 @@ class DensityMatrix:
         if float(w[0]) < -t.neg:
             raise NotPSDError(float(w[0]), t.neg, context="density matrix")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise TraceError(tr, TRACE_TOL, context="density matrix")
+        if abs(tr - 1.0) > t.value:
+            raise TraceError(tr, t.value, context="density matrix")
         for a in (m, w, v):
             a.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -60,7 +57,7 @@ class CandidateSet:
     """The k >= 2 possible preparations, with display labels.
 
     All states share one ambient dimension and no two are numerically equal
-    (max entry difference above the duplicate tolerance). Indices are
+    (max entry difference above ``Tolerances().value``). Indices are
     0-based everywhere in the API.
     """
 
@@ -89,7 +86,7 @@ class CandidateSet:
         for i in range(len(self.states)):
             for j in range(i + 1, len(self.states)):
                 diff = float(np.max(np.abs(self.states[i].matrix - self.states[j].matrix)))
-                if diff <= DUPLICATE_TOL:
+                if diff <= Tolerances().value:
                     raise CandidateSetError(
                         f"states '{self.labels[i]}' and '{self.labels[j]}' are "
                         f"numerically identical (max difference {diff:.3e})"
@@ -128,7 +125,7 @@ def from_ensemble(weights: Iterable[float], vectors: Iterable) -> DensityMatrix:
     """Mixture sum_j p_j |psi_j><psi_j| from weights and unit vectors.
 
     Weights must be nonnegative and sum to 1, vectors must be normalized;
-    both are checked to 1e-9.
+    both are checked to ``Tolerances().value``.
     """
     p = np.asarray(list(weights), dtype=np.float64)
     vs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
@@ -136,7 +133,7 @@ def from_ensemble(weights: Iterable[float], vectors: Iterable) -> DensityMatrix:
         raise ShapeError(f"{len(p)} weights for {len(vs)} vectors")
     if np.any(p < -1e-12):
         raise ShapeError(f"negative ensemble weight {float(p.min())!r}")
-    if abs(float(p.sum()) - 1.0) > 1e-9:
+    if abs(float(p.sum()) - 1.0) > Tolerances().value:
         raise ShapeError(f"ensemble weights sum to {float(p.sum())!r}, expected 1")
     d = vs[0].size
     rho = np.zeros((d, d), dtype=np.complex128)
@@ -144,7 +141,7 @@ def from_ensemble(weights: Iterable[float], vectors: Iterable) -> DensityMatrix:
         if v.size != d:
             raise ShapeError(f"ensemble vectors mix dimensions {d} and {v.size}")
         nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-9:
+        if abs(nrm - 1.0) > Tolerances().value:
             raise ShapeError(f"ensemble vector has norm {nrm!r}, expected 1")
         rho += w * np.outer(v, np.conj(v))
     return validate_density(rho)

@@ -57,7 +57,7 @@ class Subspace:
         return cls(np.eye(ambient_dim, dtype=np.complex128))
 
 
-def support_of(matrix, tol: Tolerances | None = None) -> Subspace:
+def support_of(matrix, tol: Tolerances = Tolerances()) -> Subspace:
     """Support of a Hermitian PSD matrix or of a DensityMatrix.
 
     Eigenvectors whose eigenvalue exceeds ``tol.rank`` times the largest
@@ -66,18 +66,17 @@ def support_of(matrix, tol: Tolerances | None = None) -> Subspace:
     exactly Hermitian, so validating and symmetrizing it again would hand
     eigh the same bits.
     """
-    t = tol or Tolerances()
     if isinstance(matrix, DensityMatrix):
         w, v = matrix._eigh
     else:
-        w, v = hermitian_eigen(matrix, t, context="support_of input")
+        w, v = hermitian_eigen(matrix, tol, context="support_of input")
     top = float(np.max(np.abs(w))) if w.size else 0.0
     if top == 0.0:
         return Subspace.zero(v.shape[0])
-    return Subspace(v[:, np.abs(w) > t.rank * top])
+    return Subspace(v[:, np.abs(w) > tol.rank * top])
 
 
-def subspace_sum(spaces, tol: Tolerances | None = None) -> Subspace:
+def subspace_sum(spaces, tol: Tolerances = Tolerances()) -> Subspace:
     """Span of the union of a non-empty list of subspaces."""
     spaces = list(spaces)
     if not spaces:
@@ -107,7 +106,7 @@ def complement(space: Subspace) -> Subspace:
     return Subspace(dagger(vh)[:, r:])
 
 
-def contains(outer: Subspace, inner: Subspace, tol: Tolerances | None = None) -> bool:
+def contains(outer: Subspace, inner: Subspace, tol: Tolerances = Tolerances()) -> bool:
     """True when every basis vector of ``inner`` lies in ``outer``.
 
     Decided by the projector residual max |(I - P_outer) b| over inner basis
@@ -123,7 +122,7 @@ def contains(outer: Subspace, inner: Subspace, tol: Tolerances | None = None) ->
         return False
     b = inner.basis
     residual = b - outer.basis @ (dagger(outer.basis) @ b)
-    return float(np.max(np.abs(residual))) <= (tol or Tolerances()).rank
+    return float(np.max(np.abs(residual))) <= tol.rank
 
 
 def projector(space: Subspace) -> np.ndarray:

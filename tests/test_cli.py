@@ -211,6 +211,16 @@ class TestAnalyze:
         rep = analyze_set(cs, 3, Tolerances(3e-2), DEFAULT_CAP)
         assert rep["conditions"]["m1_witnesses"] == [1]
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True, reason=(
+        "the eq. 13 operator of three rank-1 states is unambiguous, but its best identical "
+        "tuple fires at 1.004e-10 < tol.prob = 1e-9, and analyze exits 4"))
+    def test_rank_one_witness_below_probability_resolution_exits_0(self, tmp_path, capsys):
+        path = str(tmp_path / "set.json")
+        gen = ("gen", "--d", "3", "--k", "3", "--ranks", "1,1,1", "--seed", "3425877822")
+        assert run(capsys, *gen, "--out", path)[0] == 0
+        code, _, err = run(capsys, "analyze", path, "--n", "5")
+        assert code == 0, err
+
 
 def test_parser_built_once_per_process(monkeypatch, capsys):
     built = []
@@ -648,6 +658,33 @@ class TestRoundTrip:
         cs = demo_set("eq26")
         rep = analyze_set(cs, 3, Tolerances(), 4096)
         assert format_summary(rep) == format_summary(json.loads(json.dumps(rep)))
+
+
+class TestSummaryTable:
+    """The best-tuple column is at least 12 wide and one wider than its longest tuple."""
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_long_tuples_keep_a_space_before_p(self, n):
+        rep = analyze_set(demo_set("orth2"), n, Tolerances(), DEFAULT_CAP)
+        lines = format_summary(rep).splitlines()
+        header = lines.index("operators:") + 1
+        at = lines[header].index(" p ") + 1
+        for op, row in zip(rep["operators"], lines[header + 1:]):
+            tup = cli._fmt_tuple(op["best_tuple"])
+            assert row[at - 1] == " " and row[:at].rstrip().endswith(" " + tup)
+            assert float(row[at:]) == op["best_probability"]
+
+    def test_short_tuples_keep_their_bytes(self):
+        rep = analyze_set(demo_set("orth2"), 5, Tolerances(), DEFAULT_CAP)
+        table = format_summary(rep).splitlines()[9:15]
+        assert table == [
+            "  provenance        rank  unambig nontriv best tuple  p         ",
+            "  M1_maximal           2  true    true    (0,0,0,0,0) 1         ",
+            "  M2_maximal          30  true    true    (0,0,0,0,1) 1         ",
+            "  M1_eq13              1  true    true    (0,0,0,0,0) 1         ",
+            "  M2_product_eq27      8  true    true    (1,0,0,0,0) 1         ",
+            "  M2_pair_eq24         8  true    true    (1,0,0,0,0) 1         ",
+        ]
 
 
 class TestUnboundedInputs:

@@ -38,7 +38,15 @@ from mixcomp.oracle import (
     verify_nontrivial,
     verify_unambiguous,
 )
-from mixcomp.states import candidate_set, demo_set, from_ensemble, basis_state, random_density, validate_density
+from mixcomp.states import (
+    basis_state,
+    candidate_set,
+    demo_set,
+    from_ensemble,
+    maximally_mixed,
+    random_density,
+    validate_density,
+)
 from mixcomp.subspace import contains
 
 EQ26 = demo_set("eq26")
@@ -183,6 +191,33 @@ class TestOperatorInvariance:
             assert rot.rank() == op.rank(), name
         for kind in OperatorKind:
             assert decide_exists(turned, 2, kind) == decide_exists(cs, 2, kind), kind
+
+    @settings(max_examples=40, deadline=None)
+    @given(family=st.sampled_from(sorted(SET_FAMILIES)), d=st.integers(2, 3),
+           k=st.integers(2, 3), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    def test_permuting_candidates_permutes_reported_tuples(self, family, d, k, n, seed):
+        # candidate a of the moved set is candidate perm[a] of the original
+        cs = SET_FAMILIES[family](d, k, seed)
+        perm = np.random.default_rng(seed).permutation(k)
+        moved = candidate_set([cs.states[p] for p in perm])
+        for kind in OperatorKind:
+            op, mov = build_maximal(cs, n, kind), build_maximal(moved, n, kind)
+            assert np.max(np.abs(op.matrix - mov.matrix)) <= 1e-9, kind
+            assert mov.rank() == op.rank(), kind
+            assert decide_exists(moved, n, kind) == decide_exists(cs, n, kind), kind
+            una, nt = verify_unambiguous(op, cs), verify_nontrivial(op, cs)
+            una_m, nt_m = verify_unambiguous(mov, moved), verify_nontrivial(mov, moved)
+            assert abs(una_m.worst_probability - una.worst_probability) <= 1e-12
+            assert abs(nt_m.best_probability - nt.best_probability) <= 1e-12
+            assert (nt_m.best_distinct_probability is None) == (nt.best_distinct_probability is None)
+            if nt.best_distinct_probability is not None:
+                assert abs(nt_m.best_distinct_probability - nt.best_distinct_probability) <= 1e-12
+            for p, t in [(una_m.worst_probability, una_m.worst_tuple),
+                         (nt_m.best_probability, nt_m.best_tuple),
+                         (nt_m.best_distinct_probability, nt_m.best_distinct_tuple)]:
+                if t is not None:
+                    image = classify_tuple([perm[a] for a in t])
+                    assert abs(outcome_probability(op, image, cs) - p) <= 1e-12, (kind, t)
 
 
 class TestReduceCandidates:
@@ -435,6 +470,8 @@ class TestProjectorCertificate:
         *[(Tolerances(0.3), [x] + [0.0] * 8, x > 0.5) for x in (0.03, 0.05, 0.95, 0.97)],
         # the zero matrix: no product and no eigensolve, rank 0
         (Tolerances(), [0.0] * 9, False),
+        # a non-zero matrix whose squares underflow: eps stays above 0 and the spectrum decides
+        (Tolerances(), [1e-170] + [0.0] * 8, False),
     ])
     def test_rank_matches_the_dense_count(self, solves, tol, eigenvalues, fires):
         dense = near_projector(eigenvalues)
@@ -449,6 +486,7 @@ def with_factors(factors):
     """The operator ``comparison._product`` would form from ``factors``, before its self-check."""
     op = MeasurementOperator(len(factors), len(factors[0]), kron_all(factors), Provenance.M1_EQ13)
     op._memo["factors"] = factors
+    op._memo["certificate"] = comparison._factor_eps(factors), float(np.trace(op.matrix).real)
     return op
 
 
@@ -530,6 +568,50 @@ class TestKroneckerFactors:
             assert verify_unambiguous(op, ORTH2).ok
             assert verify_nontrivial(op, ORTH2).ok
         assert read and "factors" not in read and "certificate" not in read
+
+
+class TestBuilderProofs:
+    """A full maximal span is the exact zero matrix with the proof (0, 0): rank 0, no solve."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        calls = []
+        spectrum = MeasurementOperator._spectrum
+
+        def counted(op):
+            calls.append(op)
+            return spectrum(op)
+
+        monkeypatch.setattr(MeasurementOperator, "_spectrum", counted)
+        return calls
+
+    def test_zero_maximal_operators_rank_without_a_spectrum(self, corpus, spectra):
+        zeros = 0
+        for name, cs, _ in corpus:
+            for n in (2, 3):
+                for kind in OperatorKind:
+                    op = build_maximal(cs, n, kind)
+                    if op.matrix.any():
+                        continue
+                    zeros += 1
+                    spectra.clear()
+                    assert op.rank() == 0, (name, n, kind)
+                    assert spectra == [], (name, n, kind)
+        assert zeros
+
+    def test_filled_m2_span_skips_the_svd_complement(self, monkeypatch, spectra):
+        # the maximally mixed member's support is everything, so the identical
+        # class spans the whole space; an unproven generator leaves it to the loop
+        cs = candidate_set([maximally_mixed(2), random_density(2, 1, 5)])
+        monkeypatch.setattr(comparison, "_span_certificate", lambda *args: (-np.inf, 0.0))
+        called = []
+        for name in ("complement", "projector"):
+            monkeypatch.setattr(comparison, name, lambda *args, name=name: called.append(name))
+        op = build_maximal(cs, 3, OperatorKind.M2)
+        assert not op.matrix.any()
+        assert op._memo["certificate"] == (0.0, 0.0)
+        assert op.rank() == 0
+        assert called == [] and spectra == []
 
 
 POVM_SCALINGS = pytest.mark.parametrize("cs, n, alpha", [

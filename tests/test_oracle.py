@@ -238,6 +238,23 @@ class TestProbabilityVectorKept:
         assert seen[-1] is not seen[0]
         assert np.array_equal(seen[-1], seen[0])
 
+    def test_window_norm_read_once_per_verdict_pair(self, monkeypatch):
+        # three class maxima (forbidden, allowed, pairwise distinct), one ||M||_F
+        cs = gaussian_set(3, 3, 17)
+        m = build_maximal(cs, 3, OperatorKind.M2)
+        reads = []
+        norm = np.linalg.norm
+
+        def counted(x, *args, **kwargs):
+            if np.shape(x) == m.matrix.shape:
+                reads.append(x)
+            return norm(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        verify_unambiguous(m, cs)
+        assert verify_nontrivial(m, cs).best_distinct_tuple is not None
+        assert len(reads) == 1
+
 
 class TestDecideExists:
     def test_eq26_flip_between_n2_and_n3(self):
@@ -408,7 +425,7 @@ class TestScreenedScanMatchesTupleLoop:
         cs = gaussian_set(2, 5, 11)
         m = MeasurementOperator(n=3, dim=2, matrix=random_contraction(8, 12),
                                 provenance=Provenance.M2_MAXIMAL)
-        probs = oracle._probabilities(m, cs)
+        probs, _ = oracle._probabilities(m, cs)
         loop = [outcome_probability(m, t, cs) for t in all_tuples(5, 3)]
         assert np.max(np.abs(probs - loop)) <= 1e-14
         for op in [m] + operators_for(cs, 3):
