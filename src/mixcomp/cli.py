@@ -323,7 +323,9 @@ def cmd_verify(args) -> int:
     io.require_writable(args.out)
     una, nt = verify_unambiguous(op, cs, tol), verify_nontrivial(op, cs, tol)
     forbidden, allowed = TUPLE_CLASSES[op.kind]
-    res = op.residuals()
+    # one S S product gives eps, rank and the projector residual; eigvalsh
+    # runs only when eps proves nothing
+    res = op.residuals(tol)
     rep = {
         "schema_version": io.SCHEMA_VERSION,
         "operator": {
@@ -339,6 +341,7 @@ def cmd_verify(args) -> int:
             "above_identity": res["below_identity"],
             "projector_residual": res["projector"],
             "valid": residuals_ok(res, tol),
+            "certified": res["certified"],
         },
         "unambiguous": {
             "ok": bool(una.ok),

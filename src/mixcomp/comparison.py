@@ -20,12 +20,14 @@ operators (eq. 13, 24 and 27) are Kronecker products of d x d projectors and
 keep those factors in their memo, so their POVM's lowest eigenvalue comes
 from d x d singular values. Each builder hands its operator the certificate
 (eps, Re tr S) it can prove: the explicit operators from d x d work on their
-factors, a non-zero M1 maximal operator from N x N work on its span basis,
-and every zero maximal operator (0, 0). Any other operator takes eps from
-one D x D product S S; a zero matrix needs not even that. Only when eps
-proves nothing does the dense check run its eigvalsh; ``residuals()``,
-which ``verify`` reports, and the oracle, which reads only the matrix, stay
-dense.
+factors, a non-zero maximal operator from N x N work on its span basis plus,
+for M2, a row-blocked distance to I - Q Q^dagger, and every zero maximal
+operator (0, 0). Any other operator, such as one read from a file, takes eps
+from one D x D product S S; a zero matrix needs not even that. Only when eps
+proves nothing does the dense check run its eigvalsh. ``residuals``, which
+the self-check reads and ``verify`` reports, follows that rule: proven
+bounds when eps passes, the one eigvalsh otherwise. The oracle reads only
+the matrix.
 
 A maximal operator is the projector onto the complement of the span of its
 tuple class's product supports. That span is the range of the class's
@@ -34,11 +36,12 @@ that sum for the different class. When the class offers at least D = d**n
 product columns, one Cholesky factorization of the shifted generator can
 prove the span full without a span loop. Otherwise the span's orthonormal
 basis Q (D x N) is built column by column. A full span, proven or reached,
-gives the zero matrix. Otherwise the M1 operator is I - Q Q^dagger,
-certified from Q^dagger Q, and the M2 operator keeps the projector of the SVD
-complement of Q until a tie rule lands: I - Q Q^dagger, equal up to
-round-off, moves which slot-permuted tuples win exact ties in the oracle's
-reported tuples. The identical class of M1 has no such ties.
+gives the zero matrix. Otherwise the M1 operator is I - Q Q^dagger, and
+the M2 operator keeps the projector of the SVD complement of Q until a tie
+rule lands: I - Q Q^dagger, equal up to round-off, moves which
+slot-permuted tuples win exact ties in the oracle's reported tuples. The
+identical class of M1 has no such ties. Both are certified from Q^dagger Q
+(``_span_complement``).
 """
 
 from __future__ import annotations
@@ -166,8 +169,23 @@ def _factor_eps(factors: list[np.ndarray]) -> float:
     return eps * (1 + 2 * _gamma(16 * (n + 1)))
 
 
-def _span_complement(q: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
-    """M^ = fl(I - fl(Q Q^dagger)) and its certificate: eps and Re tr M^.
+_BLOCK = 64
+
+
+def _blocked(length: int) -> float:
+    """Rounding bound of an inner product of ``length`` terms summed in blocks of b = 64.
+
+    Any summation order inside each block, then the blocks' partial sums
+    one after another in our own order: gamma(min(b, L) + ceil(L / b) - 1)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 3 and 4), which min(b, L) + floor(L / b) never undercuts.
+    """
+    return _gamma(min(_BLOCK, length) + length // _BLOCK)
+
+
+def _span_complement(q: np.ndarray, kept: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, tuple[float, float]]:
+    """M^ = fl(I - fl(Q Q^dagger)), or ``kept``, and its certificate: eps and Re tr M^.
 
     eps >= ||S^2 - S||_F for S = fl((M^ + M^dagger)/2). Q is the D x N span
     basis as stored, N < D; beyond forming M^, only N x N work and an O(D)
@@ -180,10 +198,11 @@ def _span_complement(q: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
         ||S^2 - S||_F <= (1 + g) g + delta (2 (1 + g) + delta + 1)
     for any delta >= ||E||_F, the E-term algebra of ``_factor_eps``.
 
-    g: G^ = fl(Q^dagger Q) is within gamma(D) |Q^dagger||Q| of G, and
-    || |Q^dagger||Q| ||_F <= ||Q||_F^2 = tr G <= f = Re tr G^ / (1 - gamma(D));
+    g: G^ sums the products of Q's row blocks of b = 64 rows, so each entry
+    is within beta_D |Q^dagger||Q| of G's (beta_L = ``_blocked(L)``), and
+    || |Q^dagger||Q| ||_F <= ||Q||_F^2 = tr G <= f = Re tr G^ / (1 - beta_D);
     fl(G^ - I) rounds only the diagonal, within u of its exact value, so
-    g = ||fl(G^ - I)||_F / (1 - u) + gamma(D) f.
+    g = ||fl(G^ - I)||_F / (1 - u) + beta_D f.
     delta: C^ = fl(Q Q^dagger) is within gamma(N) f of Q Q^dagger in
     Frobenius norm, by the same argument; M^ is within u |I - C^| of
     I - C^ (again only the diagonal rounds); S is within u |(M^ + M^dagger)/2|
@@ -191,24 +210,56 @@ def _span_complement(q: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     and the Hermitian part of M^ - T is no larger than M^ - T. With
     m = ||T||_F + gamma(N) f >= ||I - C^||_F,
         delta = gamma(N) f + 3 u m >= gamma(N) f + u m + u (1 + u) m.
-    The two norms read are rounded up past their sums and square root; the
+
+    ``kept``: a D x D matrix P built otherwise, here the SVD complement's
+    projector, takes the place of M^, and S = fl((P + P^dagger)/2). Then
+    E = (S - C^_I) + (C^_I - T) with C^_I = fl(I - C^), formed one row
+    block at a time. C^ enters only the proof here, so it sums Q's column
+    blocks of b columns and gamma(N) above becomes beta_N in m and delta.
+    So ||E||_F <= dist + beta_N f + u m, and delta gains
+    dist >= ||S - C^_I||_F. fl(S - C^_I) is within u of its exact value
+    relative, and its norm is summed over row blocks, each of at most
+    b D entries, within gamma(D^2 + 4) relative, so
+        dist = ||fl(S - C^_I)||_F (1 + 2 gamma(D^2 + 4)) / (1 - u).
+    Each block of S is S's own rows, bit for bit, and no second D x D array
+    is formed. The distance is O(D^2 N) work, like forming I - Q Q^dagger.
+
+    The norms read are rounded up past their sums and square roots; the
     scalar operations after them, fewer than 64 on non-negative numbers,
     are covered by the last factor (``_gamma`` counts 4u per operation).
     """
     u = float(np.finfo(np.float64).eps) / 2
     dim, cols = q.shape
     qh = dagger(q)
-    # identity(D) - Q Q^dagger, bit for bit, without a second D x D array
-    matrix = q @ qh
-    np.subtract(0.0, matrix, out=matrix)
-    matrix.flat[:: dim + 1] += 1
-    gram = qh @ q
-    f = float(np.trace(gram).real) * (1 + 2 * _gamma(cols + 4)) / (1 - _gamma(dim))
+    gram = qh[:, :_BLOCK] @ q[:_BLOCK]
+    for i in range(_BLOCK, dim, _BLOCK):
+        gram += qh[:, i:i + _BLOCK] @ q[i:i + _BLOCK]
+    f = float(np.trace(gram).real) * (1 + 2 * _gamma(cols + 4)) / (1 - _blocked(dim))
     gram.flat[:: cols + 1] -= 1
     g = float(np.sqrt(np.vdot(gram, gram).real)) * (1 + 2 * _gamma(cols * cols + 4))
-    g = g / (1 - u) + _gamma(dim) * f
-    formed = _gamma(cols) * f
+    g = g / (1 - u) + _blocked(dim) * f
+    formed = (_gamma(cols) if kept is None else _blocked(cols)) * f
     delta = formed + 3 * u * (math.sqrt(dim - cols) + g + formed)
+    if kept is None:
+        # identity(D) - Q Q^dagger, bit for bit, without a second D x D array
+        matrix = q @ qh
+        np.subtract(0.0, matrix, out=matrix)
+        matrix.flat[:: dim + 1] += 1
+    else:
+        matrix, dist2 = kept, 0.0
+        for i in range(0, dim, _BLOCK):
+            rows = q[i:i + _BLOCK, :_BLOCK] @ qh[:_BLOCK]
+            for j in range(_BLOCK, cols, _BLOCK):
+                rows += q[i:i + _BLOCK, j:j + _BLOCK] @ qh[j:j + _BLOCK]
+            np.subtract(0.0, rows, out=rows)
+            diag = np.arange(len(rows))
+            rows[diag, diag + i] += 1
+            sym = dagger(kept[:, i:i + _BLOCK])
+            sym += kept[i:i + _BLOCK]
+            sym /= 2.0
+            sym -= rows
+            dist2 += float(np.vdot(sym, sym).real)
+        delta += math.sqrt(dist2) * (1 + 2 * _gamma(dim * dim + 4)) / (1 - u)
     eps = (1 + g) * g + delta * (2 * (1 + g) + delta + 1)
     return matrix, (eps * (1 + 2 * _gamma(64)), float(np.trace(matrix).real))
 
@@ -295,14 +346,32 @@ class MeasurementOperator:
         """eps >= ||S^2 - S||_F and Re tr S, the inputs of the projector certificates.
 
         A builder that can prove both stores them at build time: the explicit
-        operators from their Kronecker factors (``_factor_eps``), the M1
-        maximal from its span basis (``_span_complement``), and every zero
-        maximal operator as (0, 0). Any other operator takes both from the
-        one product of ``_projector_bound``.
+        operators from their Kronecker factors (``_factor_eps``), a non-zero
+        maximal operator from its span basis (``_span_complement``), and
+        every zero maximal operator as (0, 0). Any other operator takes both
+        from the one product of ``_projector_bound``.
         """
         if "certificate" not in self._memo:
             self._memo["certificate"] = self._projector_bound()[1:]
         return self._memo["certificate"]
+
+    def _near(self) -> float:
+        """How far eps lets any eigenvalue of S lie from 0 or 1; inf when eps >= 1/4.
+
+        |lambda^2 - lambda| <= eps < 1/4 puts every eigenvalue within
+        (1 - sqrt(1 - 4 eps))/2 of 0 or of 1, written without cancellation.
+        """
+        eps = self._certificate()[0]
+        return 2 * eps / (1 + math.sqrt(1 - 4 * eps)) if 4 * eps < 1 else math.inf
+
+    def _proven(self, tol: Tolerances) -> bool:
+        """Hermitian within tol.sym, and every eigenvalue of S within tol.neg of 0 or 1.
+
+        Then the psd and below_identity residuals are at most near(eps) and
+        the projector residual max |S^2 - S| at most eps <= near(eps), so all
+        pass tol.neg without an eigensolve.
+        """
+        return self._hermitian() <= tol.sym and self._near() <= tol.neg
 
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
         """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh.
@@ -331,9 +400,8 @@ class MeasurementOperator:
         """
         self.require_hermitian(tol)
         if "residuals" not in self._memo:
-            # With eps < 1/4, |lambda^2 - lambda| <= eps puts every eigenvalue
-            # within near = (1 - sqrt(1 - 4 eps))/2 of 0 or of 1, written
-            # without cancellation below. Say c of them lie near 1. Then
+            # Every eigenvalue lies within near of 0 or of 1 (``_near``;
+            # near = inf proves nothing). Say c of them lie near 1. Then
             # |tr S - c| <= D near, and fl(tr S) adds at most gamma(D) sum
             # |S_ii| <= 2 D gamma(D), so round(fl(tr S)) = c once the two stay
             # below 1/2. For c >= 1 the largest |lambda| lies in
@@ -343,29 +411,39 @@ class MeasurementOperator:
             # near < tol.rank (1 - near). The count is then exact for S;
             # eigvalsh would only approximate the same eigenvalues. For c = 0
             # only near = 0, the zero matrix, proves it.
-            eps, tr = self._certificate()
+            near, count = self._near(), round(self._certificate()[1])
             dim = len(self.matrix)
-            if 4 * eps < 1:
-                near = 2 * eps / (1 + np.sqrt(1 - 4 * eps))
-                count = round(tr)
-                if (
-                    (count >= 1 or near == 0)
-                    and dim * (near + 2 * _gamma(dim)) < 0.5
-                    and near < tol.rank * (1 - near)
-                    and tol.rank * (1 + near) < 1 - near
-                ):
-                    return count
+            if (
+                (count >= 1 or near == 0)
+                and dim * (near + 2 * _gamma(dim)) < 0.5
+                and near < tol.rank * (1 - near)
+                and tol.rank * (1 + near) < 1 - near
+            ):
+                return count
         a = np.abs(self._spectrum()[1])
         return int(np.sum(a > tol.rank * a.max()))
 
-    def residuals(self) -> dict[str, float]:
-        """Deviation of the operator from its invariants.
+    def residuals(self, tol: Tolerances = Tolerances()) -> dict:
+        """Deviation of the operator from its invariants, and which path decided it.
 
         hermitian: max |M - M^dagger|; psd: how far the lowest eigenvalue
         dips below 0; below_identity: same for I - M; projector: max
-        |M^2 - M|. All are 0 for an exact projector.
+        |S^2 - S|. All are 0 for an exact projector. When the Hermitian
+        residual is within tol.sym and near(eps) within tol.neg
+        (``_proven``), psd and below_identity are that proven bound
+        near(eps), no eigensolve runs and ``certified`` is True; projector
+        is then read from the product that gave eps, or is eps itself, which
+        bounds it, when a builder proved eps without one. Otherwise all
+        come from the one kept eigvalsh of S and ``certified`` is False. A
+        bound is never below the value it bounds, and the dense path decides
+        whenever it exceeds tol.neg, so no ``residuals_ok`` verdict moves.
         """
-        return dict(self._spectrum()[0])
+        if not self._proven(tol):
+            return {**self._spectrum()[0], "certified": False}
+        near, eps = self._near(), self._certificate()[0]
+        projector = self._memo["bound"][0] if "bound" in self._memo else eps
+        return {"hermitian": self._hermitian(), "psd": near, "below_identity": near,
+                "projector": projector, "certified": True}
 
 
 def residuals_ok(r: dict[str, float], tol: Tolerances, require_projector: bool = False) -> bool:
@@ -475,14 +553,12 @@ def _prepare(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> ConditionRe
 def _self_check(op: MeasurementOperator, tol: Tolerances) -> MeasurementOperator:
     """Hermitian within tol.sym and a projector within tol.neg, or InternalCheckError.
 
-    eps <= tol.neg puts every eigenvalue within eps of 0 or 1, which bounds
-    the psd, below_identity and projector residuals by eps: the check then
-    passes without an eigensolve. Otherwise the dense residuals decide, so
-    a bad factor of an explicit operator still raises.
+    ``residuals(tol)`` decides: when eps puts every eigenvalue within
+    tol.neg of 0 or 1 (``_proven``), the check passes without an eigensolve
+    or a D x D product. Otherwise the dense residuals decide, so a bad
+    factor or basis still raises.
     """
-    if op._hermitian() <= tol.sym and op._certificate()[0] <= tol.neg:
-        return op
-    r = op.residuals()
+    r = op.residuals(tol)
     if not residuals_ok(r, tol, require_projector=True):
         raise InternalCheckError(
             f"constructed operator {op.provenance.value} failed its own "
@@ -701,11 +777,11 @@ def build_maximal(
     the loop, which builds the span's basis Q (D x N) column by column with
     modified Gram-Schmidt. A full span, proven or reached at N = D, gives
     the exact zero matrix with its certificate (0, 0). Otherwise the M1
-    operator is I - Q Q^dagger, with its certificate from Q^dagger Q
-    (``_span_complement``). The M2 operator keeps the projector of the SVD
-    complement of Q until a tie rule lands, since I - Q Q^dagger, though
+    operator is I - Q Q^dagger. The M2 operator keeps the projector of the
+    SVD complement of Q until a tie rule lands, since I - Q Q^dagger, though
     equal up to round-off, would change which slot-permuted tuples win exact
-    ties in the oracle.
+    ties in the oracle. Both take their certificate from Q^dagger Q
+    (``_span_complement``), the M2 one plus its distance to I - Q Q^dagger.
     """
     which = OperatorKind(which)
     supports = _prepare(cs, n, tol, cap).supports
@@ -726,12 +802,19 @@ def build_maximal(
     if cols == full_dim:
         matrix, certificate = np.zeros((full_dim, full_dim)), (0.0, 0.0)
     elif which is OperatorKind.M2:
-        matrix, certificate = projector(complement(Subspace(q))), None
+        # projector(complement(Subspace(q))) bit for bit: the C-ordered copy
+        # of the SVD complement columns times its adjoint, without the
+        # Subspace orthonormality guard
+        vh = np.linalg.svd(dagger(q), full_matrices=True)[2]
+        v = np.conjugate(vh[cols:].T, order="C")
+        del vh
+        kept = v @ dagger(v)
+        del v
+        matrix, certificate = _span_complement(q, kept)
     else:
         matrix, certificate = _span_complement(q)
     op = MeasurementOperator(n=n, dim=cs.dim, matrix=matrix, provenance=prov)
-    if certificate is not None:
-        op._memo["certificate"] = certificate
+    op._memo["certificate"] = certificate
     return _self_check(op, tol)
 
 

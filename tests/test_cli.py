@@ -408,23 +408,93 @@ class TestVerify:
         assert rep["invariants"]["valid"] is False
         assert rep["invariants"]["above_identity"] == pytest.approx(2.0)
 
-    def test_residuals_computed_once(self, tmp_path, capsys, monkeypatch):
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """The side of every eigvalsh the verify run makes."""
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(np.shape(a)[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return calls
+
+    @staticmethod
+    def rewritten(op_path, matrix):
+        """Replace the operator file's matrix, keeping its other fields."""
+        obj = json.loads(op_path.read_text())
+        obj["matrix"] = io.matrix_to_rows(matrix)
+        op_path.write_text(json.dumps(obj))
+
+    @pytest.mark.parametrize("name,operator,method,rank", [
+        ("eq26", "m2", "eq27", 1),
+        ("gen", "m1", "maximal", 46),
+        ("gen", "m2", "maximal", 55),
+    ])
+    def test_projector_file_is_certified_without_eigensolve(
+            self, tmp_path, capsys, solves, name, operator, method, rank):
+        if name == "gen":
+            set_path = str(tmp_path / "set.json")
+            run(capsys, "gen", "--d", "4", "--k", "2", "--ranks", "1,2", "--seed", "1",
+                "--out", set_path)
+        else:
+            set_path = write_demo(tmp_path, name)
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "3", "--operator", operator,
+            "--method", method, "--out", str(op_path))
+        solves.clear()
+        code, out, _ = run(capsys, "verify", str(op_path), set_path)
+        assert code == 0
+        rep = json.loads(out)
+        op = io.read_operator(str(op_path))
+        side = len(op.matrix)
+        assert side not in solves
+        inv = rep["invariants"]
+        assert inv["certified"] is True and inv["valid"] is True
+        assert rep["operator"]["rank"] == rank and rep["unambiguous"]["ok"] is True
+        # the reported bound is near(eps) of the file's own product, and it
+        # bounds what one eigvalsh of the same matrix returns
+        assert inv["psd_violation"] == inv["above_identity"] == op._near() <= 1e-9
+        assert inv["projector_residual"] == op._projector_bound()[0]
+        w = np.linalg.eigvalsh(comparison._hermitian_part(op.matrix))
+        assert inv["psd_violation"] >= max(0.0, -float(w[0]))
+        assert inv["above_identity"] >= max(0.0, float(w[-1]) - 1.0)
+
+    def test_non_projector_file_takes_one_eigensolve(self, tmp_path, capsys, solves):
+        # half a projector: eigenvalues 0 and 1/2, valid but no projector
         set_path = write_demo(tmp_path, "eq26")
         op_path = tmp_path / "op.json"
         run(capsys, "construct", set_path, "--n", "3", "--operator", "m2",
             "--method", "eq27", "--out", str(op_path))
-        calls = []
-        residuals = MeasurementOperator.residuals
-
-        def counted(self):
-            calls.append(self.provenance)
-            return residuals(self)
-
-        monkeypatch.setattr(MeasurementOperator, "residuals", counted)
+        half = 0.5 * io.read_operator(str(op_path)).matrix
+        self.rewritten(op_path, half)
+        solves.clear()
         code, out, _ = run(capsys, "verify", str(op_path), set_path)
         assert code == 0
-        assert len(calls) == 1
-        assert json.loads(out)["invariants"]["valid"] is True
+        inv = json.loads(out)["invariants"]
+        assert solves == [27]
+        w = np.linalg.eigvalsh(comparison._hermitian_part(half))
+        assert inv["certified"] is False and inv["valid"] is True
+        assert inv["psd_violation"] == max(0.0, -float(w[0]))
+        assert inv["above_identity"] == max(0.0, float(w[-1]) - 1.0) == 0.0
+
+    def test_negative_eigenvalue_file_stays_invalid(self, tmp_path, capsys):
+        # an exact projector with one kernel eigenvalue pushed to -1e-6
+        set_path = write_demo(tmp_path, "eq26")
+        op_path = tmp_path / "op.json"
+        run(capsys, "construct", set_path, "--n", "3", "--operator", "m2",
+            "--method", "eq27", "--out", str(op_path))
+        m = io.read_operator(str(op_path)).matrix
+        _, v = np.linalg.eigh(m)
+        x = v[:, :1]
+        self.rewritten(op_path, m - 1e-6 * (x @ x.conj().T))
+        code, out, _ = run(capsys, "verify", str(op_path), set_path)
+        assert code == 0
+        inv = json.loads(out)["invariants"]
+        assert inv["certified"] is False and inv["valid"] is False
+        assert inv["psd_violation"] == pytest.approx(1e-6, rel=1e-6)
 
     def test_non_hermitian_operator_exits_2(self, tmp_path, capsys):
         set_path = write_demo(tmp_path, "orth2")

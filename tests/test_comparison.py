@@ -447,7 +447,7 @@ class TestProjectorCertificate:
     def test_self_check_straddling_tol_neg(self, solves, x, fires, side):
         eigenvalues = [1.0] * 4 + [0.0] * 4 + [-x if side == "below-zero" else 1 + x]
         t = Tolerances()
-        dense = residuals_ok(near_projector(eigenvalues).residuals(), t, require_projector=True)
+        dense = residuals_ok(near_projector(eigenvalues)._spectrum()[0], t, require_projector=True)
         solves.clear()
         try:
             _self_check(near_projector(eigenvalues), t)
@@ -456,6 +456,21 @@ class TestProjectorCertificate:
             verdict = False
         assert verdict == dense == (x < 1e-9)
         assert (solves == []) == fires
+
+    @pytest.mark.parametrize("x,fires", [(0.5e-9, True), (0.9e-9, True), (1.1e-9, False), (2e-9, False)])
+    @pytest.mark.parametrize("side", ["below-zero", "above-one"])
+    def test_residuals_certified_straddling_tol_neg(self, solves, x, fires, side):
+        eigenvalues = [1.0] * 4 + [0.0] * 4 + [-x if side == "below-zero" else 1 + x]
+        t = Tolerances()
+        dense = near_projector(eigenvalues)._spectrum()[0]
+        assert solves == [9]
+        solves.clear()
+        res = near_projector(eigenvalues).residuals(t)
+        assert res["certified"] is fires and (solves == []) == fires
+        # the proven bound never undercuts the spectrum, and no verdict moves
+        key = "psd" if side == "below-zero" else "below_identity"
+        assert res[key] >= dense[key] - 1e-15
+        assert residuals_ok(res, t) == residuals_ok(dense, t) == (x < 1e-9)
 
     @pytest.mark.parametrize("tol,eigenvalues,fires", [
         # rank cut near < tol.rank (1 - near): the small eigenvalue x straddles it
@@ -475,7 +490,7 @@ class TestProjectorCertificate:
     ])
     def test_rank_matches_the_dense_count(self, solves, tol, eigenvalues, fires):
         dense = near_projector(eigenvalues)
-        dense.residuals()
+        dense._spectrum()
         expected = dense.rank(tol)
         solves.clear()
         assert near_projector(eigenvalues).rank(tol) == expected

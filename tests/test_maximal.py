@@ -6,10 +6,12 @@ tests pin every operator to the loop's span basis Q: the M2 maximal and
 every zero operator bit for bit to the SVD complement projector, a non-zero
 M1 maximal bit for bit to I - Q Q^dagger, which is also pinned within 1e-12
 of that projector and to its rank. They also check that each skip rule
-skips what it claims to.
+skips what it claims to, and that the certificates both operators take from
+Q (``_span_complement``) bound what was formed.
 """
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -168,9 +170,10 @@ def test_self_check_needs_no_dense_residuals(monkeypatch):
     calls, solves = [], []
     residuals, eigvalsh = comparison.MeasurementOperator.residuals, np.linalg.eigvalsh
 
-    def counted(self):
-        calls.append(self.provenance)
-        return residuals(self)
+    def counted(self, tol=Tolerances()):
+        r = residuals(self, tol)
+        calls.append(r["certified"])
+        return r
 
     def solve(a, *args, **kwargs):
         solves.append(np.shape(a)[-1])
@@ -181,9 +184,13 @@ def test_self_check_needs_no_dense_residuals(monkeypatch):
     # 243 identical-tuple columns < D = 256: a non-zero projector from the loop
     op = build_maximal(span_shape_set(), 4, OperatorKind.M2)
     rank = op.rank()
-    assert calls == [] and 256 not in solves
-    # the dense residuals stay public; their spectrum gives the same rank
-    assert op.residuals()["projector"] <= 1e-9
+    # the self-check's one read of the residuals is proven by eps
+    assert calls == [True] and 256 not in solves
+    # no product ran, so the proven projector residual is eps itself
+    assert op.residuals()["projector"] == op._certificate()[0] <= 1e-9
+    assert "bound" not in op._memo
+    # the dense spectrum stays at hand and gives the same rank
+    assert op._spectrum()[0]["projector"] <= 1e-9
     assert solves.count(256) == 1
     assert rank == op.rank() > 0
 
@@ -198,9 +205,10 @@ def test_self_check_dense_fallback_keeps_the_spectrum(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", solve)
     t = Tolerances(1e-14)
-    # eps = 7.2e-14 > tol.neg: only the dense residuals can pass this projector
+    # the span certificate's eps = 8.4e-13 and the product's 7.2e-14 both
+    # exceed tol.neg: only the dense residuals can pass this projector
     op = build_maximal(demo_set("eq26"), 3, OperatorKind.M2, tol=t)
-    assert op._projector_bound()[1] > t.neg
+    assert op._certificate()[0] > t.neg and op._projector_bound()[1] > t.neg
     assert solves == [27]
     # rank counts the spectrum the self-check kept
     assert op.rank(t) == 6
@@ -280,23 +288,37 @@ def test_full_span_without_proof_is_exact_zero(spy):
     assert MeasurementOperator(3, 2, rest, Provenance.M1_MAXIMAL).rank(t) > 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(d=st.integers(2, 4), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
-       fraction=st.floats(0, 1), size=st.floats(-14, -6), tol=st.sampled_from([1e-9, 1e-6]))
-def test_span_complement_eps_bounds_the_formed_matrix(d, n, seed, fraction, size, tol):
-    rng = np.random.default_rng(seed)
-    dim = d**n
-    cols = int(fraction * (dim - 1))
+def noisy_basis(rng, dim, cols, size):
+    """The first ``cols`` columns of a random unitary, plus noise of norm about 10**size."""
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     basis, _ = np.linalg.qr(g)
     noise = rng.normal(size=(dim, cols)) + 1j * rng.normal(size=(dim, cols))
-    q = basis[:, :cols] + 10.0**size * noise / max(np.linalg.norm(noise), 1.0)
-    matrix, certificate = comparison._span_complement(q)
-    eps = certificate[0]
-    # ||S^2 - S||_F of the formed matrix, measured in extended precision
+    return basis[:, :cols] + 10.0**size * noise / max(np.linalg.norm(noise), 1.0)
+
+
+def assert_eps_bounds(matrix, eps):
+    """eps >= ||S^2 - S||_F for S = (M + M^dagger)/2, measured in extended precision."""
     sym = _hermitian_part(matrix).astype(np.clongdouble)
     residual = sym @ sym - sym
     assert eps >= float(np.sqrt(np.sum(np.abs(residual) ** 2)))
+
+
+# blocks of 3 and 7 rows split every D of the sweep unevenly; 64 is the default
+BLOCKS = st.sampled_from([3, 7, comparison._BLOCK])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0, 1), size=st.floats(-14, -6), tol=st.sampled_from([1e-9, 1e-6]),
+       block=BLOCKS)
+def test_span_complement_eps_bounds_the_formed_matrix(d, n, seed, fraction, size, tol, block):
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    cols = int(fraction * (dim - 1))
+    q = noisy_basis(rng, dim, cols, size)
+    with mock.patch.object(comparison, "_BLOCK", block):
+        matrix, certificate = comparison._span_complement(q)
+    assert_eps_bounds(matrix, certificate[0])
     op = MeasurementOperator(n, d, matrix, Provenance.M1_MAXIMAL)
     op._memo["certificate"] = certificate
     t = Tolerances(tol)
@@ -305,6 +327,77 @@ def test_span_complement_eps_bounds_the_formed_matrix(d, n, seed, fraction, size
         if "residuals" not in op._memo:
             w = np.abs(np.linalg.eigvalsh(_hermitian_part(op.matrix)))
             assert rank == int(np.sum(w > t.rank * w.max())) == dim - cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(2, 3), seed=st.integers(0, 2**32 - 1),
+       fraction=st.floats(0, 1), size=st.floats(-14, -6),
+       tilt=st.one_of(st.none(), st.floats(-15, -8)), block=BLOCKS)
+def test_span_complement_eps_bounds_a_kept_svd_projector(d, n, seed, fraction, size, tilt, block):
+    # P = V V^dagger from the SVD complement of a noisy Q, as the M2 maximal
+    # forms it; a tilted V moves P off I - Q Q^dagger, so the distance term
+    # has to carry the bound
+    rng = np.random.default_rng(seed)
+    dim = d**n
+    cols = int(fraction * (dim - 1))
+    q = noisy_basis(rng, dim, cols, size)
+    vh = np.linalg.svd(dagger(q), full_matrices=True)[2]
+    v = np.conjugate(vh[cols:].T, order="C")
+    if tilt is not None:
+        noise = rng.normal(size=v.shape) + 1j * rng.normal(size=v.shape)
+        v += 10.0**tilt * noise / np.linalg.norm(noise)
+    kept = v @ dagger(v)
+    with mock.patch.object(comparison, "_BLOCK", block):
+        matrix, (eps, trace) = comparison._span_complement(q, kept)
+    assert matrix is kept
+    assert_eps_bounds(kept, eps)
+    assert trace == float(np.trace(kept).real)
+
+
+def test_m2_complement_builds_no_dense_subspace(monkeypatch):
+    ambients, calls = [], []
+    post_init = Subspace.__post_init__
+
+    def recorded(self):
+        ambients.append(np.shape(self.basis)[0])
+        post_init(self)
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(Subspace, "__post_init__", recorded)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    bound = comparison.MeasurementOperator._projector_bound
+    monkeypatch.setattr(comparison.MeasurementOperator, "_projector_bound", counted("bound", bound))
+    # 243 and 5 identical-tuple columns against D = 256: non-zero projectors
+    for cs, n in ((span_shape_set(), 4), (short_column_set(), 2)):
+        ambients.clear()
+        op = build_maximal(cs, n, OperatorKind.M2)
+        rank = op.rank()
+        assert 256 not in ambients and calls == []
+        dense = MeasurementOperator(n, cs.dim, op.matrix, op.provenance)
+        dense._spectrum()
+        assert rank == dense.rank() == 256 - loop_basis(cs, n, OperatorKind.M2).shape[1]
+        calls.clear()
+
+
+def test_corrupted_svd_complement_still_raises(monkeypatch):
+    svd = np.linalg.svd
+
+    def corrupted(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if kwargs.get("full_matrices") and a.shape[1] == 256:
+            vh = out[2].copy()
+            vh[-1] *= 0.9
+            return out[0], out[1], vh
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(InternalCheckError, match="failed its own invariants"):
+        build_maximal(short_column_set(), 2, OperatorKind.M2)
 
 
 def short_column_set():
