@@ -4,7 +4,8 @@ Commands: analyze, construct, verify, gen, demo. Machine-readable JSON goes
 to --out (stdout by default); the human summary goes to stdout, or to
 stderr when stdout is already carrying JSON. Exit codes: 0 success, 2 bad
 input, 3 cap exceeded or out of memory, 4 internal invariant violation or
-a failed eigensolve.
+a failed eigensolve. ``main`` alone maps an exception to its code, wherever
+it was raised.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def analyze_set(cs: CandidateSet, n: int, tol: Tolerances, cap: int) -> dict:
             "m1_provenance": m1.provenance.value,
             "m2_provenance": m2.provenance.value,
             "alpha": assembly.alpha,
-            "beta": assembly.beta,
+            "beta": assembly.alpha,
             "inconclusive_min_eigenvalue": assembly.min_eigenvalue,
         }
     else:
@@ -386,7 +387,7 @@ def cmd_gen(args) -> int:
             random_density(args.d, ranks[i], int(child_seeds[i])) for i in range(args.k)
         ]
         cs = make_candidate_set(states)
-    except MixcompError as exc:
+    except InputError as exc:
         raise InputError(f"generated set is invalid: {exc}") from exc
     io.write_candidate_set(cs, args.out)
     print(

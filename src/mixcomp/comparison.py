@@ -376,13 +376,12 @@ class MeasurementOperator:
     def _spectrum(self) -> tuple[dict[str, float], np.ndarray]:
         """The residuals and the spectrum of (M + M^dagger)/2, from one eigvalsh.
 
-        The zero matrix needs no solve: its spectrum is exact zeros, which
-        is what eigvalsh returns for it, and every residual is 0.
+        The zero matrix never gets here: its eps = 0 proves every residual
+        and its rank.
         """
         if "residuals" not in self._memo:
-            m = self.matrix
             herm = self._hermitian()
-            w = np.linalg.eigvalsh(_hermitian_part(m)) if m.any() else np.zeros(len(m))
+            w = np.linalg.eigvalsh(_hermitian_part(self.matrix))
             self._memo["residuals"] = {
                 "hermitian": herm,
                 "psd": max(0.0, -float(w[0])),
@@ -394,32 +393,32 @@ class MeasurementOperator:
     def rank(self, tol: Tolerances = Tolerances()) -> int:
         """Eigenvalues above tol.rank times the largest; M must be Hermitian.
 
-        A near-projector's rank is read off its trace when ``eps`` proves
-        the count; otherwise, and whenever the spectrum is already kept, it
-        is counted from the one eigvalsh of ``residuals``.
+        The zero matrix, the one operator with eps = 0, has rank 0 at any
+        tolerance. A near-projector's rank is read off its trace when
+        ``eps`` proves the count, whatever ran before; otherwise it is
+        counted from the one eigvalsh of ``residuals``, run once and kept.
         """
         self.require_hermitian(tol)
-        if "residuals" not in self._memo:
-            # Every eigenvalue lies within near of 0 or of 1 (``_near``;
-            # near = inf proves nothing). Say c of them lie near 1. Then
-            # |tr S - c| <= D near, and fl(tr S) adds at most gamma(D) sum
-            # |S_ii| <= 2 D gamma(D), so round(fl(tr S)) = c once the two stay
-            # below 1/2. For c >= 1 the largest |lambda| lies in
-            # [1 - near, 1 + near]; the c eigenvalues near 1 pass the cut
-            # tol.rank * max |lambda| when tol.rank (1 + near) < 1 - near,
-            # and the others, at most near, stay at or below it when
-            # near < tol.rank (1 - near). The count is then exact for S;
-            # eigvalsh would only approximate the same eigenvalues. For c = 0
-            # only near = 0, the zero matrix, proves it.
-            near, count = self._near(), round(self._certificate()[1])
-            dim = len(self.matrix)
-            if (
-                (count >= 1 or near == 0)
-                and dim * (near + 2 * _gamma(dim)) < 0.5
-                and near < tol.rank * (1 - near)
-                and tol.rank * (1 + near) < 1 - near
-            ):
-                return count
+        eps, trace = self._certificate()
+        if eps == 0:
+            return 0
+        # Every eigenvalue lies within near of 0 or of 1 (``_near``; near =
+        # inf proves nothing). Say c of them lie near 1. Then |tr S - c| <=
+        # D near, and fl(tr S) adds at most gamma(D) sum |S_ii| <= 2 D
+        # gamma(D), so round(fl(tr S)) = c once the two stay below 1/2. For
+        # c >= 1 the largest |lambda| lies in [1 - near, 1 + near]; the c
+        # eigenvalues near 1 pass the cut tol.rank * max |lambda| when
+        # tol.rank (1 + near) < 1 - near, and the others, at most near, stay
+        # at or below it when near < tol.rank (1 - near). The count is then
+        # exact for S; eigvalsh would only approximate the same eigenvalues.
+        near, count, dim = self._near(), round(trace), len(self.matrix)
+        if (
+            count >= 1
+            and dim * (near + 2 * _gamma(dim)) < 0.5
+            and near < tol.rank * (1 - near)
+            and tol.rank * (1 + near) < 1 - near
+        ):
+            return count
         a = np.abs(self._spectrum()[1])
         return int(np.sum(a > tol.rank * a.max()))
 
@@ -822,10 +821,10 @@ def build_maximal(
 class PovmAssembly:
     """A completing three-outcome measurement.
 
-    conclusive_identical = alpha * M1, conclusive_different = beta * M2 with
-    beta = alpha, and inconclusive is whatever remains below the identity;
-    min_eigenvalue is its lowest eigenvalue. Iterating yields the three
-    matrices in that order.
+    conclusive_identical = alpha * M1, conclusive_different = alpha * M2
+    (the paper's beta is alpha), and inconclusive is whatever remains below
+    the identity; min_eigenvalue is its lowest eigenvalue. Iterating yields
+    the three matrices in that order.
     """
 
     conclusive_identical: np.ndarray
@@ -833,8 +832,6 @@ class PovmAssembly:
     inconclusive: np.ndarray
     alpha: float
     min_eigenvalue: float
-
-    beta = property(lambda self: self.alpha)
 
     def __iter__(self):
         return iter((self.conclusive_identical, self.conclusive_different, self.inconclusive))

@@ -1,11 +1,17 @@
 """JSON schemas for candidate sets, operators, and reports.
 
 Complex numbers are [re, im] pairs of decimal numbers, matrices are lists
-of rows. Floats go through Python's repr, which is the shortest decimal
-that round-trips, so a written set re-reads to bit-identical matrices.
+of rows. Every number in a file, a matrix entry or an ensemble weight,
+passes one rule: a JSON int or float, not a bool, that fits a double.
+Floats go through Python's repr, which is the shortest decimal that
+round-trips, so a written set re-reads to bit-identical matrices.
 An operator file's matrix is instead one base64 string of its row-major
 little-endian complex128 bytes, encoded and written piece by piece from
 the matrix's own buffer; readers also accept the rows form.
+
+A malformed file raises InputError, whose message names the state or the
+file. The readers decide no exit code: any other error, such as a
+MemoryError while a matrix is validated, reaches the caller unchanged.
 """
 
 from __future__ import annotations
@@ -28,17 +34,33 @@ from .states import CandidateSet, DensityMatrix, candidate_set, from_ensemble
 SCHEMA_VERSION = 1
 
 
-def pair_to_complex(entry: Any, context: str) -> complex:
-    if (
-        not isinstance(entry, (list, tuple))
-        or len(entry) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-    ):
-        raise InputError(f"{context}: expected a [re, im] number pair, got {entry!r}")
+def _is_number(x: Any) -> bool:
+    """The rule for every number in a file: a JSON int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _double(x: Any, context: str) -> float:
+    """A number that passes ``_is_number`` as a double; an int too large for one is refused."""
     try:
-        return complex(float(entry[0]), float(entry[1]))
+        return float(x)
     except OverflowError:
         raise InputError(f"{context}: a number is too large for a double") from None
+
+
+def pair_to_complex(entry: Any, context: str) -> complex:
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_is_number, entry)):
+        raise InputError(f"{context}: expected a [re, im] number pair, got {entry!r}")
+    return complex(_double(entry[0], context), _double(entry[1], context))
+
+
+def _weights(weights: list) -> list[float]:
+    """Ensemble weights under the number rule of matrix entries; an error names the weight."""
+    out = []
+    for i, w in enumerate(weights):
+        if not _is_number(w):
+            raise InputError(f"weight {i}: expected a number, got {w!r}")
+        out.append(_double(w, f"weight {i}"))
+    return out
 
 
 def matrix_to_rows(a: np.ndarray) -> list[list[list[float]]]:
@@ -110,7 +132,7 @@ def candidate_set_to_obj(cs: CandidateSet) -> dict:
 
 
 def candidate_set_from_obj(obj: Any) -> CandidateSet:
-    """Parse a candidate-set object; messages name the offending state label."""
+    """Parse a candidate-set object; an InputError names the offending state label."""
     _require_version(obj, "candidate set")
     entries = obj.get("states")
     if not isinstance(entries, list) or len(entries) < 2:
@@ -141,10 +163,10 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
                 vs = [
                     entries_to_vector(v, f"vector {i}") for i, v in enumerate(vectors)
                 ]
-                state = from_ensemble(weights, vs)
+                state = from_ensemble(_weights(weights), vs)
             else:
                 raise InputError("needs either a 'matrix' or an 'ensemble'")
-        except Exception as exc:
+        except InputError as exc:
             raise InputError(f"state '{label}': {exc}") from exc
         if dim is not None and state.dim != dim:
             raise InputError(
@@ -154,7 +176,7 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
         states.append(state)
     try:
         return candidate_set(states, labels)
-    except Exception as exc:
+    except InputError as exc:
         raise InputError(f"candidate set: {exc}") from exc
 
 
@@ -187,7 +209,7 @@ def operator_from_obj(obj: Any) -> MeasurementOperator:
         matrix = rows_to_matrix(matrix, "operator matrix")
     try:
         return MeasurementOperator(n=n, dim=dim, matrix=matrix, provenance=prov)
-    except Exception as exc:
+    except InputError as exc:
         raise InputError(f"operator file: {exc}") from exc
 
 
@@ -237,15 +259,17 @@ def dump_json(obj: Any, path: str | None, indent: int | None = 2) -> None:
 def require_writable(path: str | None) -> None:
     """Raise now the InputError a write to ``path`` would raise, creating nothing.
 
-    Refused with open's reason: a directory at the path, a missing parent,
-    one that is not a directory, and a file or parent that the process may
-    not write (reported as EACCES, whatever access(2) found). The path
-    None, stdout, is always writable.
+    Refused with open's reason: the empty path, a directory at the path, a
+    missing parent, one that is not a directory, and a file or parent that
+    the process may not write (reported as EACCES, whatever access(2)
+    found). The path None, stdout, is always writable.
     """
     if path is None:
         return
     try:
-        if os.path.isdir(path):
+        if not path:
+            code = errno.ENOENT  # what open("") raises
+        elif os.path.isdir(path):
             code = errno.EISDIR
         elif os.path.exists(path):
             code = 0 if os.access(path, os.W_OK) else errno.EACCES

@@ -26,11 +26,16 @@ class DensityMatrix:
 
     def __post_init__(self):
         t = Tolerances()
-        m = require_hermitian(self.matrix, t, context="density matrix")
-        w, v = np.linalg.eigh(m)
+        # finite entries far above 1, which no state has, may overflow to inf
+        # or NaN in (A + A^dagger)/2 or in its trace; the checks refuse them
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = require_hermitian(self.matrix, t, context="density matrix")
+            if not np.isfinite(m).all():
+                raise ShapeError("density matrix entries overflow a double when symmetrized")
+            w, v = np.linalg.eigh(m)
+            tr = complex(np.trace(m))
         if float(w[0]) < -t.neg:
             raise NotPSDError(float(w[0]), t.neg, context="density matrix")
-        tr = complex(np.trace(m))
         if abs(tr - 1.0) > t.value:
             raise TraceError(tr, t.value, context="density matrix")
         for a in (m, w, v):
@@ -133,14 +138,17 @@ def from_ensemble(weights: Iterable[float], vectors: Iterable) -> DensityMatrix:
         raise ShapeError(f"{len(p)} weights for {len(vs)} vectors")
     if np.any(p < -1e-12):
         raise ShapeError(f"negative ensemble weight {float(p.min())!r}")
-    if abs(float(p.sum()) - 1.0) > Tolerances().value:
-        raise ShapeError(f"ensemble weights sum to {float(p.sum())!r}, expected 1")
+    # weights or entries far above 1 may overflow to inf, which the checks refuse
+    with np.errstate(over="ignore"):
+        total = float(p.sum())
+        norms = [float(np.linalg.norm(v)) for v in vs]
+    if abs(total - 1.0) > Tolerances().value:
+        raise ShapeError(f"ensemble weights sum to {total!r}, expected 1")
     d = vs[0].size
     rho = np.zeros((d, d), dtype=np.complex128)
-    for w, v in zip(p, vs):
+    for w, v, nrm in zip(p, vs, norms):
         if v.size != d:
             raise ShapeError(f"ensemble vectors mix dimensions {d} and {v.size}")
-        nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > Tolerances().value:
             raise ShapeError(f"ensemble vector has norm {nrm!r}, expected 1")
         rho += w * np.outer(v, np.conj(v))

@@ -12,6 +12,7 @@ from mixcomp import (
     random_density,
     validate_density,
 )
+from mixcomp.linalg import Tolerances
 
 # acceptance tests register one (passed, detail) entry per criterion here;
 # pytest_terminal_summary prints them after the run
@@ -30,6 +31,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         passed, detail = ACCEPTANCE_RESULTS[cid]
         verdict = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"ACCEPTANCE {cid}: {verdict} - {detail}")
+
+
+def dense_rank(op, tol: Tolerances = Tolerances()) -> int:
+    """The rank counted from the operator's one eigvalsh, whatever ``rank`` would prove."""
+    a = np.abs(op._spectrum()[1])
+    return int(np.sum(a > tol.rank * a.max()))
 
 
 def gaussian_set(d: int, k: int, seed: int) -> CandidateSet:

@@ -14,7 +14,7 @@ from mixcomp.cli import analyze_set, format_summary, main
 from mixcomp.comparison import DEFAULT_CAP, MeasurementOperator, Provenance, build_m1, residuals_ok
 from mixcomp.errors import InternalCheckError
 from mixcomp.linalg import Tolerances
-from mixcomp.states import candidate_set, demo_set, random_density
+from mixcomp.states import DensityMatrix, candidate_set, demo_set, random_density
 
 
 def run(capsys, *argv):
@@ -664,6 +664,13 @@ class TestGen:
         code, _, _ = run(capsys, "gen", "--d", "2", "--k", "2", "--ranks", "1,x")
         assert code == 2
 
+    def test_identical_states_exit_2(self, capsys):
+        # in d = 1 every state is [[1]]
+        code, out, err = run(capsys, "gen", "--d", "1", "--k", "2", "--ranks", "1,1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: generated set is invalid: states 'sigma1' and 'sigma2' ")
+        assert "numerically identical" in err and len(err.splitlines()) == 1
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run(capsys, "gen", "--d", "2", "--k", "2", "--ranks", "1,1", "--seed", "-1")
         assert (code, out) == (2, "")
@@ -813,6 +820,27 @@ class TestUnboundedInputs:
         assert ran == []
         assert sorted(os.listdir(tmp_path)) == ["op.json", "orth2.json"]
 
+    def test_empty_out_path_refused_before_any_build(self, tmp_path, capsys, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return comparison.build_maximal(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_maximal", counted)
+        code, out, err = run(capsys, "analyze", write_demo(tmp_path, "orth2"), "--n", "2",
+                             "--out", "")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write : No such file or directory\n"
+        assert built == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_device_exits_2(self, tmp_path, capsys):
+        code, out, err = run(capsys, "analyze", write_demo(tmp_path, "orth2"), "--n", "2",
+                             "--out", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot write /dev/full: No space left on device\n"
+
 
 class TestInputErrors:
     """Malformed input ends in exit 2 and one stderr line naming the fault."""
@@ -835,10 +863,38 @@ class TestInputErrors:
         ("analyze", set_led_by({"label": "e", "ensemble": {
             "weights": [0.5, 0.5], "vectors": [[[1, 0]], [[1, 0], [0, 0]]]}}),
          "state 'e': ensemble vectors mix dimensions 1 and 2"),
+        *[("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": weights, "vectors": [[[1, 0]]] * len(weights)}}),
+           f"state 'e': weight 0: expected a number, got {shown}")
+          for weights, shown in ((["0.5", "0.5"], "'0.5'"), ([True], "True"),
+                                 ([None], "None"), ([[0.5], [0.5]], "[0.5]"))],
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [10**400], "vectors": [[[1, 0]]]}}),
+         "state 'e': weight 0: a number is too large for a double"),
+        # finite numbers whose norm or sum overflows: refused without a numpy warning
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [1.0], "vectors": [[[1e200, 0]]]}}),
+         "state 'e': ensemble vector has norm inf, expected 1"),
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [1e308, 1e308], "vectors": [[[1, 0]], [[1, 0]]]}}),
+         "state 'e': ensemble weights sum to inf, expected 1"),
+        # finite and Hermitian, but past 8.9e307: (A + A^dagger)/2 overflows, and
+        # eigh then fails to converge (3 x 3) or leaves a NaN spectrum (2 x 2)
+        *[("analyze", set_led_by({"label": "e", "matrix": matrix}),
+           "state 'e': density matrix entries overflow a double when symmetrized")
+          for matrix in ([[[0.5, 0], [1e308, 0], [0, 0]], [[1e308, 0], [0.5, 0], [0, 0]],
+                          [[0, 0]] * 3],
+                         [[[1.7e308, 0], [0, 0]], [[0, 0], [-1.7e308, 0]]])],
+        ("analyze", {"schema_version": 1, "states": [{"label": "a", "matrix": [[[1, 0]]]},
+                                                     {"label": "b", "matrix": [[[1, 0]]]}]},
+         "candidate set: states 'a' and 'b' are numerically identical (max difference 0.000e+00)"),
         ("gen", None, "--k must be at least 2, got 1"),
     ], ids=["operator-kind", "set-list", "operator-list", "state-not-object", "no-label",
             "ensemble-not-object", "ensemble-no-lists", "ensemble-empty-vector",
-            "ensemble-mixed-dims", "gen-one-state"])
+            "ensemble-mixed-dims", "weights-strings", "weights-boolean", "weights-null",
+            "weights-nested", "weights-huge-int", "norm-overflow", "sum-overflow",
+            "overflow-3x3", "overflow-2x2",
+            "equal-states", "gen-one-state"])
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, command, obj, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(obj))
@@ -853,11 +909,12 @@ class TestInputErrors:
 class TestEscapingErrors:
     """Failures outside the library's own exceptions still end in an exit code."""
 
-    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
-        def exhausted(*args, **kwargs):
-            raise MemoryError()
+    @staticmethod
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
 
-        monkeypatch.setattr(cli, "build_maximal", exhausted)
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "build_maximal", self.exhausted)
         path = write_demo(tmp_path, "orth2")
         code, _, err = run(capsys, "analyze", path, "--n", "2")
         assert code == 3
@@ -873,6 +930,34 @@ class TestEscapingErrors:
         assert code == 4
         assert len(err.strip().splitlines()) == 1
         assert "did not converge" in err
+
+    def test_memory_error_while_verify_builds_its_operator_exits_3(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        path = write_demo(tmp_path, "orth2")
+        op_path = str(tmp_path / "op.json")
+        io.write_operator(build_m1(demo_set("orth2"), 2), op_path)
+        monkeypatch.setattr(MeasurementOperator, "__post_init__", self.exhausted)
+        code, out, err = run(capsys, "verify", op_path, path)
+        assert (code, out) == (3, "")
+        assert err == "error: out of memory; lower --cap or the tuple size n\n"
+
+    def test_memory_error_while_a_state_is_validated_exits_3(self, tmp_path, capsys,
+                                                             monkeypatch):
+        path = write_demo(tmp_path, "orth2")
+        monkeypatch.setattr(DensityMatrix, "__post_init__", self.exhausted)
+        code, out, err = run(capsys, "analyze", path, "--n", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: out of memory; lower --cap or the tuple size n\n"
+
+    def test_linalg_error_while_a_set_is_read_exits_4(self, tmp_path, capsys, monkeypatch):
+        def diverged(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        path = write_demo(tmp_path, "orth2")
+        monkeypatch.setattr(np.linalg, "eigh", diverged)
+        code, out, err = run(capsys, "analyze", path, "--n", "2")
+        assert (code, out) == (4, "")
+        assert err == "internal error: linear algebra failed: Eigenvalues did not converge\n"
 
     def test_explicit_operator_that_never_fires_aborts(self, monkeypatch):
         monkeypatch.setattr(cli, "build_m1", lambda cs, n, i0, tol, cap: MeasurementOperator(

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import diagonal_set, gaussian_set
+from conftest import dense_rank, diagonal_set, gaussian_set
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -489,9 +489,7 @@ class TestProjectorCertificate:
         (Tolerances(), [1e-170] + [0.0] * 8, False),
     ])
     def test_rank_matches_the_dense_count(self, solves, tol, eigenvalues, fires):
-        dense = near_projector(eigenvalues)
-        dense._spectrum()
-        expected = dense.rank(tol)
+        expected = dense_rank(near_projector(eigenvalues), tol)
         solves.clear()
         assert near_projector(eigenvalues).rank(tol) == expected
         assert (solves == []) == (fires or not any(eigenvalues))
@@ -614,6 +612,20 @@ class TestBuilderProofs:
                     assert spectra == [], (name, n, kind)
         assert zeros
 
+    def test_zero_operator_has_rank_zero_at_any_tolerance(self, spectra):
+        for op in (build_maximal(EQ26, 2, OperatorKind.M2),
+                   MeasurementOperator(2, 3, np.zeros((9, 9)), Provenance.M1_MAXIMAL)):
+            assert not op.matrix.any()
+            assert op.rank(Tolerances(2.0)) == 0
+        assert spectra == []
+
+    def test_rank_is_decided_by_its_proof_whatever_ran_before(self):
+        # the span certificate's eps exceeds tol.neg = 1e-14: the dense residuals run
+        op = build_maximal(EQ26, 3, OperatorKind.M2)
+        assert op.residuals(Tolerances(1e-14))["certified"] is False
+        assert "residuals" in op._memo
+        assert op.rank() == build_maximal(EQ26, 3, OperatorKind.M2).rank() == 6
+
     def test_filled_m2_span_skips_the_svd_complement(self, monkeypatch, spectra):
         # the maximally mixed member's support is everything, so the identical
         # class spans the whole space; an unproven generator leaves it to the loop
@@ -658,14 +670,14 @@ class TestAssemblePovm:
             "conclusive_identical", "conclusive_different", "inconclusive",
             "alpha", "min_eigenvalue",
         ]
-        assert not hasattr(pv, "n") and not hasattr(pv, "dim")
-        assert pv.beta == pv.alpha == alpha
+        assert not any(hasattr(pv, name) for name in ("n", "dim", "beta"))
+        assert pv.alpha == alpha
 
     def test_orth2_uses_unit_scaling(self):
         m1 = build_m1(ORTH2, 2, 0)
         m2 = build_m2_product(ORTH2, 2)
         pv = assemble_povm(m1, m2)
-        assert pv.alpha == 1.0 and pv.beta == 1.0
+        assert pv.alpha == 1.0
         assert np.max(np.abs(pv.inconclusive - np.diag([0.0, 1.0, 0.0, 1.0]))) < 1e-12
         assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
 
@@ -677,7 +689,7 @@ class TestAssemblePovm:
         assert e2e2 @ m1.matrix @ e2e2 == pytest.approx(1.0)
         assert e2e2 @ m2.matrix @ e2e2 == pytest.approx(1.0)
         pv = assemble_povm(m1, m2)
-        assert pv.alpha == 0.5 and pv.beta == 0.5
+        assert pv.alpha == 0.5
         assert np.linalg.eigvalsh(pv.inconclusive)[0] >= -1e-9
         assert pv.min_eigenvalue == min_eigenvalue(pv.inconclusive)
 

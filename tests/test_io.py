@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixcomp import io
 from mixcomp.comparison import MeasurementOperator, OperatorKind, Provenance, build_m2_pair
@@ -301,6 +303,13 @@ class TestFileHelpers:
             io.dump_json({"p": bad}, str(path))
         assert not path.exists()
 
+    def test_empty_path_refused_as_open_refuses_it(self):
+        with pytest.raises(InputError) as err:
+            io.require_writable("")
+        with pytest.raises(InputError) as late:
+            io.dump_json({"x": 1}, "")
+        assert str(err.value) == str(late.value) == "cannot write : No such file or directory"
+
     def test_require_writable_creates_nothing_and_names_a_denied_write(self, tmp_path, monkeypatch):
         target = tmp_path / "r.json"
         io.require_writable(None)
@@ -318,3 +327,65 @@ class TestFileHelpers:
             io.require_writable(str(target))
         assert str(err.value) == denied
         assert target.read_text() == "kept"
+
+
+# Any JSON value, with the numbers a strict parser refuses or a double cannot hold
+NUMBERS = (st.integers() | st.sampled_from([10**400, -(10**400), 2**1024]) | st.floats())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=12,
+)
+# lists of [re, im] pairs and lists of those, so that validation sees odd numbers
+PAIRS = st.lists(st.lists(NUMBERS, min_size=2, max_size=2), min_size=1, max_size=3)
+SHAPED = PAIRS | st.lists(PAIRS, min_size=1, max_size=3)
+BASE64 = st.binary(max_size=80).map(lambda raw: base64.b64encode(raw).decode())
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "file.json"
+
+
+def read_back(path, obj, reader):
+    """The reader's result on ``obj`` written to ``path``; only an InputError may escape."""
+    path.write_text(json.dumps(obj))
+    try:
+        return reader(str(path))
+    except InputError:
+        return None
+
+
+class TestReaderContract:
+    """Whatever JSON value a field holds, a reader returns or raises InputError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["matrix", "weights", "vectors", "label", "dim"]),
+           value=JSON_VALUES | SHAPED)
+    def test_set_reader(self, scratch_file, field, value):
+        e0, e1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        obj = {"schema_version": 1, "states": [
+            {"label": "a", "ensemble": {"weights": [0.5, 0.5], "vectors": [e0, e1]}},
+            {"label": "b", "matrix": [[[0.0, 0.0]] * 2, e1]},
+        ]}
+        if field == "dim":
+            obj["dim"] = value
+        elif field == "matrix":
+            obj["states"][1]["matrix"] = value
+        elif field == "label":
+            obj["states"][1]["label"] = value
+        else:
+            obj["states"][0]["ensemble"][field] = value
+        cs = read_back(scratch_file, obj, io.read_candidate_set)
+        if cs is not None:
+            assert all(np.all(np.isfinite(st.matrix)) for st in cs.states)
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(["n", "dim", "kind", "provenance", "matrix"]),
+           value=JSON_VALUES | SHAPED | BASE64)
+    def test_operator_reader(self, scratch_file, field, value):
+        obj = {**reference_obj(build_m2_pair(demo_set("orth2"), 2)), field: value}
+        op = read_back(scratch_file, obj, io.read_operator)
+        if op is not None:
+            assert np.all(np.isfinite(op.matrix))

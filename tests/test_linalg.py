@@ -319,6 +319,12 @@ class TestOrthonormalColumns:
         with pytest.raises(ShapeError):
             orthonormal_columns(np.array([1.0, 0.0, 0.0]))
 
+    def test_rejects_a_nan_column(self):
+        vecs = np.eye(3, 2, dtype=complex)
+        vecs[1, 1] = np.nan
+        with pytest.raises(ShapeError, match="NaN or Inf"):
+            orthonormal_columns(vecs)
+
 
 class TestPsdAndRank:
     def test_gram_matrix_is_psd(self):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_degenerate_set
+from conftest import dense_rank, near_degenerate_set
 
 from mixcomp import comparison, io
 from mixcomp.cli import main
@@ -189,10 +189,10 @@ def test_self_check_needs_no_dense_residuals(monkeypatch):
     # no product ran, so the proven projector residual is eps itself
     assert op.residuals()["projector"] == op._certificate()[0] <= 1e-9
     assert "bound" not in op._memo
-    # the dense spectrum stays at hand and gives the same rank
+    # the dense spectrum stays at hand and counts the same rank
     assert op._spectrum()[0]["projector"] <= 1e-9
     assert solves.count(256) == 1
-    assert rank == op.rank() > 0
+    assert rank == dense_rank(op) == op.rank() > 0
 
 
 def test_self_check_dense_fallback_keeps_the_spectrum(monkeypatch):
@@ -379,8 +379,7 @@ def test_m2_complement_builds_no_dense_subspace(monkeypatch):
         rank = op.rank()
         assert 256 not in ambients and calls == []
         dense = MeasurementOperator(n, cs.dim, op.matrix, op.provenance)
-        dense._spectrum()
-        assert rank == dense.rank() == 256 - loop_basis(cs, n, OperatorKind.M2).shape[1]
+        assert rank == dense_rank(dense) == 256 - loop_basis(cs, n, OperatorKind.M2).shape[1]
         calls.clear()
 
 

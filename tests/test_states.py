@@ -89,6 +89,11 @@ def test_maximally_mixed_has_full_support():
     assert support_of(rho.matrix).dim == 3
 
 
+def test_maximally_mixed_needs_a_positive_dimension():
+    with pytest.raises(ShapeError, match="dimension must be positive, got 0"):
+        maximally_mixed(0)
+
+
 class TestRandomDensity:
     def test_reproducible(self):
         a = random_density(3, 2, 123)

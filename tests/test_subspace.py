@@ -128,6 +128,11 @@ class TestSumComplementContains:
         s = random_subspace(4, 3, 8)
         assert contains(s, s)
 
+    def test_zero_subspace_contains_nothing_non_empty(self):
+        zero = Subspace.zero(4)
+        assert not contains(zero, random_subspace(4, 1, 9))
+        assert contains(zero, zero)
+
     def test_strict_subspace_not_containing(self):
         outer = span([1, 0, 0], [0, 1, 0])
         inner = span([0, 0, 1])
