@@ -315,6 +315,11 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     tol = _resolve_tolerances(args.tol)
     op = io.read_operator(args.operator_file)
+    # 0 <= M <= I bounds ||M||_F^2 by D: an operator past a double there is
+    # refused before a product or an eigensolve on it overflows
+    if not np.isfinite(np.vdot(op.matrix, op.matrix)):
+        raise InputError(f"operator file: the squared Frobenius norm overflows a double; "
+                         f"0 <= M <= I bounds it by {len(op.matrix)}")
     cs = io.read_candidate_set(args.set_file)
     # a non-Hermitian file exits 2 before the scan and the eigensolve are paid
     op.require_hermitian(tol)

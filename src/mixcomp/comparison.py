@@ -65,6 +65,7 @@ from .linalg import (
     Tolerances,
     _hermitian_part,
     _mgs_span,
+    _require_finite,
     dagger,
     herm_residual,
     identity,
@@ -285,8 +286,7 @@ class MeasurementOperator:
         if m.ndim != 2 or side is None or m.shape != (side, side):
             expected = f"{self.dim}**{self.n}" if side is None else side
             raise ShapeError(f"operator shape {m.shape} does not match dim**n = {expected}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ShapeError("operator contains NaN or Inf entries")
+        _require_finite(m, "operator contains NaN or Inf entries")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)

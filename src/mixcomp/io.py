@@ -1,13 +1,16 @@
 """JSON schemas for candidate sets, operators, and reports.
 
 Complex numbers are [re, im] pairs of decimal numbers, matrices are lists
-of rows. Every number in a file, a matrix entry or an ensemble weight,
-passes one rule: a JSON int or float, not a bool, that fits a double.
-Floats go through Python's repr, which is the shortest decimal that
-round-trips, so a written set re-reads to bit-identical matrices.
-An operator file's matrix is instead one base64 string of its row-major
-little-endian complex128 bytes, encoded and written piece by piece from
-the matrix's own buffer; readers also accept the rows form.
+of rows. Every number in a file, a matrix or vector entry or an ensemble
+weight, passes one rule, ``_double``: a JSON int or float, not a bool,
+that is a finite double, so NaN, Infinity and 1e400 (read as inf) are
+refused with the entry named, and never written. Floats go through
+Python's repr, which is the shortest decimal that round-trips, so a
+written set re-reads to bit-identical matrices. An operator file's
+matrix is instead one base64 string of its row-major little-endian
+complex128 bytes, encoded and written piece by piece from the matrix's
+own buffer (MeasurementOperator checks those entries finite); readers
+also accept the rows form.
 
 A malformed file raises InputError, whose message names the state or the
 file. The readers decide no exit code: any other error, such as a
@@ -34,33 +37,23 @@ from .states import CandidateSet, DensityMatrix, candidate_set, from_ensemble
 SCHEMA_VERSION = 1
 
 
-def _is_number(x: Any) -> bool:
-    """The rule for every number in a file: a JSON int or float, not a bool."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _double(x: Any, context: str) -> float:
-    """A number that passes ``_is_number`` as a double; an int too large for one is refused."""
+    """The rule for every number in a file: a JSON int or float, not a bool, and finite."""
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise InputError(f"{context}: expected a number, got {x!r}")
     try:
-        return float(x)
+        f = float(x)
     except OverflowError:
         raise InputError(f"{context}: a number is too large for a double") from None
+    if not math.isfinite(f):
+        raise InputError(f"{context}: expected a finite number, got {f!r}")
+    return f
 
 
 def pair_to_complex(entry: Any, context: str) -> complex:
-    if not isinstance(entry, (list, tuple)) or len(entry) != 2 or not all(map(_is_number, entry)):
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise InputError(f"{context}: expected a [re, im] number pair, got {entry!r}")
     return complex(_double(entry[0], context), _double(entry[1], context))
-
-
-def _weights(weights: list) -> list[float]:
-    """Ensemble weights under the number rule of matrix entries; an error names the weight."""
-    out = []
-    for i, w in enumerate(weights):
-        if not _is_number(w):
-            raise InputError(f"weight {i}: expected a number, got {w!r}")
-        out.append(_double(w, f"weight {i}"))
-    return out
 
 
 def matrix_to_rows(a: np.ndarray) -> list[list[list[float]]]:
@@ -160,10 +153,9 @@ def candidate_set_from_obj(obj: Any) -> CandidateSet:
                 vectors = ens.get("vectors")
                 if not isinstance(weights, list) or not isinstance(vectors, list):
                     raise InputError("ensemble needs 'weights' and 'vectors' lists")
-                vs = [
-                    entries_to_vector(v, f"vector {i}") for i, v in enumerate(vectors)
-                ]
-                state = from_ensemble(_weights(weights), vs)
+                vs = [entries_to_vector(v, f"vector {i}") for i, v in enumerate(vectors)]
+                ps = [_double(w, f"weight {i}") for i, w in enumerate(weights)]
+                state = from_ensemble(ps, vs)
             else:
                 raise InputError("needs either a 'matrix' or an 'ensemble'")
         except InputError as exc:

@@ -40,14 +40,19 @@ class Tolerances:
             raise ShapeError(f"tolerance must be positive and finite, got {self.value!r}")
 
 
+def _require_finite(a: np.ndarray, message: str) -> np.ndarray:
+    """The one finiteness rule for arrays: ``a``, or ShapeError(message) on a NaN or Inf entry."""
+    if not np.isfinite(a).all():
+        raise ShapeError(message)
+    return a
+
+
 def as_matrix(values, context: str = "matrix") -> np.ndarray:
     """Coerce to a finite complex128 square matrix."""
     a = np.asarray(values, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{context} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ShapeError(f"{context} contains NaN or Inf entries")
-    return a
+    return _require_finite(a, f"{context} contains NaN or Inf entries")
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -74,12 +79,14 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(a, tol: Tolerances = Tolerances(), context: str = "matrix") -> np.ndarray:
-    """Validate Hermiticity against tol.sym; return the symmetrized (A + A^dagger)/2."""
+    """Validate Hermiticity against tol.sym; return (A + A^dagger)/2, refused if it overflows."""
     m = as_matrix(a, context)
-    res = herm_residual(m)
-    if res > tol.sym:
-        raise NotHermitianError(res, tol.sym, context)
-    return _hermitian_part(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = herm_residual(m)
+        if res > tol.sym:
+            raise NotHermitianError(res, tol.sym, context)
+        return _require_finite(_hermitian_part(m),
+                               f"{context} entries overflow a double when symmetrized")
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -166,8 +173,7 @@ def orthonormal_columns(vectors: np.ndarray, tol: Tolerances = Tolerances()) -> 
     cols = np.asarray(vectors, dtype=np.complex128)
     if cols.ndim != 2:
         raise ShapeError(f"expected a (d, m) array of columns, got shape {cols.shape}")
-    if not np.all(np.isfinite(cols.real)) or not np.all(np.isfinite(cols.imag)):
-        raise ShapeError("input vectors contain NaN or Inf entries")
+    _require_finite(cols, "input vectors contain NaN or Inf entries")
     d, m = cols.shape
     scale = float(np.max(np.linalg.norm(cols, axis=0), initial=0.0))
     if not scale:

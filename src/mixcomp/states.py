@@ -15,10 +15,11 @@ from .linalg import Tolerances, require_hermitian
 class DensityMatrix:
     """A validated quantum state: Hermitian, PSD, unit trace.
 
-    The stored matrix is the symmetrized copy of the input and is read-only.
-    The symmetrized matrix is exactly Hermitian, so its spectrum comes from
-    one eigh without a second validation. That eigh's read-only (w, v) pair
-    is kept in ``_eigh``, where ``subspace.support_of`` reads the support.
+    The stored matrix is ``linalg.require_hermitian``'s read-only symmetrized
+    copy of the input; that function also refuses non-finite entries and an
+    overflowing symmetrization. Being exactly Hermitian, it has its spectrum
+    from one eigh without a second validation. That eigh's read-only (w, v)
+    pair is kept in ``_eigh``, where ``subspace.support_of`` reads the support.
     """
 
     matrix: np.ndarray
@@ -26,16 +27,13 @@ class DensityMatrix:
 
     def __post_init__(self):
         t = Tolerances()
-        # finite entries far above 1, which no state has, may overflow to inf
-        # or NaN in (A + A^dagger)/2 or in its trace; the checks refuse them
-        with np.errstate(over="ignore", invalid="ignore"):
-            m = require_hermitian(self.matrix, t, context="density matrix")
-            if not np.isfinite(m).all():
-                raise ShapeError("density matrix entries overflow a double when symmetrized")
-            w, v = np.linalg.eigh(m)
-            tr = complex(np.trace(m))
+        m = require_hermitian(self.matrix, t, context="density matrix")
+        w, v = np.linalg.eigh(m)
         if float(w[0]) < -t.neg:
             raise NotPSDError(float(w[0]), t.neg, context="density matrix")
+        # a PSD diagonal far above 1, which no state has, may sum to inf: refused below
+        with np.errstate(over="ignore"):
+            tr = complex(np.trace(m))
         if abs(tr - 1.0) > t.value:
             raise TraceError(tr, t.value, context="density matrix")
         for a in (m, w, v):
@@ -61,9 +59,10 @@ def validate_density(matrix) -> DensityMatrix:
 class CandidateSet:
     """The k >= 2 possible preparations, with display labels.
 
-    All states share one ambient dimension and no two are numerically equal
-    (max entry difference above ``Tolerances().value``). Indices are
-    0-based everywhere in the API.
+    All states are DensityMatrix objects (``candidate_set`` validates raw
+    matrices), share one ambient dimension and no two are numerically equal
+    (max entry difference above ``Tolerances().value``). Indices are 0-based
+    everywhere in the API.
     """
 
     labels: tuple[str, ...]
@@ -82,11 +81,15 @@ class CandidateSet:
             )
         if len(set(self.labels)) != len(self.labels):
             raise CandidateSetError(f"duplicate labels in {list(self.labels)}")
-        d = self.states[0].dim
         for lbl, st in zip(self.labels, self.states):
-            if st.dim != d:
+            if not isinstance(st, DensityMatrix):
                 raise CandidateSetError(
-                    f"state '{lbl}' has dimension {st.dim}, expected {d}"
+                    f"state '{lbl}' is not a DensityMatrix (got {type(st).__name__}); "
+                    f"build the set with candidate_set(...)"
+                )
+            if st.dim != self.dim:
+                raise CandidateSetError(
+                    f"state '{lbl}' has dimension {st.dim}, expected {self.dim}"
                 )
         for i in range(len(self.states)):
             for j in range(i + 1, len(self.states)):
@@ -130,26 +133,29 @@ def from_ensemble(weights: Iterable[float], vectors: Iterable) -> DensityMatrix:
     """Mixture sum_j p_j |psi_j><psi_j| from weights and unit vectors.
 
     Weights must be nonnegative and sum to 1, vectors must be normalized;
-    both are checked to ``Tolerances().value``.
+    both are checked to ``Tolerances().value``, and a NaN fails the checks.
     """
     p = np.asarray(list(weights), dtype=np.float64)
     vs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
     if len(p) != len(vs) or len(p) == 0:
         raise ShapeError(f"{len(p)} weights for {len(vs)} vectors")
-    if np.any(p < -1e-12):
-        raise ShapeError(f"negative ensemble weight {float(p.min())!r}")
+    # each check is written to fail on NaN, as numpy's min and sums propagate it
+    low = float(p.min())
+    if not low >= -1e-12:
+        raise ShapeError(f"negative ensemble weight {low!r}" if low < 0
+                         else f"ensemble weight {low!r} is not a number")
     # weights or entries far above 1 may overflow to inf, which the checks refuse
     with np.errstate(over="ignore"):
         total = float(p.sum())
         norms = [float(np.linalg.norm(v)) for v in vs]
-    if abs(total - 1.0) > Tolerances().value:
+    if not abs(total - 1.0) <= Tolerances().value:
         raise ShapeError(f"ensemble weights sum to {total!r}, expected 1")
     d = vs[0].size
     rho = np.zeros((d, d), dtype=np.complex128)
     for w, v, nrm in zip(p, vs, norms):
         if v.size != d:
             raise ShapeError(f"ensemble vectors mix dimensions {d} and {v.size}")
-        if abs(nrm - 1.0) > Tolerances().value:
+        if not abs(nrm - 1.0) <= Tolerances().value:
             raise ShapeError(f"ensemble vector has norm {nrm!r}, expected 1")
         rho += w * np.outer(v, np.conj(v))
     return validate_density(rho)

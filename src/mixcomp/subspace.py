@@ -34,7 +34,7 @@ class Subspace:
         if b.ndim != 2:
             raise ShapeError(f"basis must be a (d, r) array, got shape {b.shape}")
         gram = dagger(b) @ b
-        if b.shape[1] and float(np.max(np.abs(gram - np.eye(b.shape[1])))) > 1e-8:
+        if b.shape[1] and not float(np.max(np.abs(gram - np.eye(b.shape[1])))) <= 1e-8:
             raise ShapeError("basis columns are not orthonormal")
         b = b.copy()
         b.setflags(write=False)

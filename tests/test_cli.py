@@ -591,7 +591,13 @@ class TestVerify:
          "operator contains NaN or Inf"),
         (lambda text, m: b64(m + 1e-6 * np.eye(4, k=1)), "error: matrix is not Hermitian: "),
         (lambda text, m: 42, "error: operator matrix: matrix must be a non-empty list of rows"),
-    ], ids=["character", "byte-count", "side", "inf", "non-hermitian", "number"])
+        # finite, Hermitian entries whose squared norm overflows, so S S and eigvalsh would
+        *[(lambda text, m, big=big: b64(np.full(m.shape, big)), "error: operator file: the "
+           "squared Frobenius norm overflows a double; 0 <= M <= I bounds it by 4\n")
+          for big in (1e308, 1e200)],
+    ], ids=["character", "byte-count", "side", "inf", "non-hermitian", "number", "all-1e308",
+            "all-1e200"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_malformed_binary_matrix_exits_2(self, tmp_path, capsys, tamper, message):
         set_path = write_demo(tmp_path, "orth2")
         op_path = tmp_path / "op.json"
@@ -603,6 +609,18 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(op_path), set_path)
         assert (code, out) == (2, "")
         assert err.startswith(message) and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("big", [1e10, 1e100, 1e152])
+    def test_large_representable_operator_is_reported_invalid(self, tmp_path, capsys, big):
+        # ||M||_F^2 is a finite double: the file is read, checked and reported, not refused
+        set_path = write_demo(tmp_path, "eq26")
+        op_path = tmp_path / "op.json"
+        io.write_operator(MeasurementOperator(n=2, dim=3, matrix=np.full((9, 9), big),
+                                              provenance=Provenance.M1_MAXIMAL), str(op_path))
+        code, out, _ = run(capsys, "verify", str(op_path), set_path)
+        assert code == 0
+        assert json.loads(out)["invariants"]["valid"] is False
 
     @pytest.mark.parametrize("target, field, message", [
         ("operator", "n", "operator file: 'n' must be a positive integer, got True"),
@@ -885,6 +903,22 @@ class TestInputErrors:
           for matrix in ([[[0.5, 0], [1e308, 0], [0, 0]], [[1e308, 0], [0.5, 0], [0, 0]],
                           [[0, 0]] * 3],
                          [[[1.7e308, 0], [0, 0]], [[0, 0], [-1.7e308, 0]]])],
+        # finite once symmetrized, but its trace overflows: a trace error, no numpy warning
+        ("analyze", set_led_by({"label": "e", "matrix": io.matrix_to_rows(np.diag([8e307] * 3))}),
+         "state 'e': density matrix has trace (inf+0j), which differs from 1 by more than "
+         "1.000e-09"),
+        # NaN, Infinity and a float literal past the double range are refused at the entry
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [float("nan")], "vectors": [[[1, 0]]]}}),
+         "state 'e': weight 0: expected a finite number, got nan"),
+        ("analyze", set_led_by({"label": "e", "ensemble": {
+            "weights": [1.0], "vectors": [[[1, 0], [float("nan"), 0]]]}}),
+         "state 'e': vector 0: expected a finite number, got nan"),
+        *[("analyze", set_led_by({"label": "e", "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, bad]]]}),
+           f"state 'e': matrix, row 1: expected a finite number, got {bad!r}")
+          for bad in (float("inf"), float("-inf"))],
+        ("analyze", json.dumps(set_led_by({"label": "e", "matrix": [[[0.5, 0]]]})).replace(
+            "0.5", "1e400"), "state 'e': matrix, row 0: expected a finite number, got inf"),
         ("analyze", {"schema_version": 1, "states": [{"label": "a", "matrix": [[[1, 0]]]},
                                                      {"label": "b", "matrix": [[[1, 0]]]}]},
          "candidate set: states 'a' and 'b' are numerically identical (max difference 0.000e+00)"),
@@ -893,11 +927,13 @@ class TestInputErrors:
             "ensemble-not-object", "ensemble-no-lists", "ensemble-empty-vector",
             "ensemble-mixed-dims", "weights-strings", "weights-boolean", "weights-null",
             "weights-nested", "weights-huge-int", "norm-overflow", "sum-overflow",
-            "overflow-3x3", "overflow-2x2",
+            "overflow-3x3", "overflow-2x2", "trace-overflow", "weight-nan", "vector-nan",
+            "matrix-infinity", "matrix-minus-infinity", "matrix-1e400",
             "equal-states", "gen-one-state"])
     def test_malformed_input_exits_2_with_one_line(self, tmp_path, capsys, command, obj, message):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(obj))
+        # a str is the file's text: json.dumps cannot write a literal such as 1e400
+        bad.write_text(obj if isinstance(obj, str) else json.dumps(obj))
         argv = {
             "analyze": ["analyze", str(bad), "--n", "2"],
             "verify": ["verify", str(bad), write_demo(tmp_path, "orth2")],

@@ -381,6 +381,30 @@ class TestReaderContract:
         if cs is not None:
             assert all(np.all(np.isfinite(st.matrix)) for st in cs.states)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field, label, where", [
+        ("matrix", "b", "matrix, row 0"), ("weights", "a", "weight 0"),
+        ("vectors", "a", "vector 0"),
+    ], ids=["matrix", "weights", "vectors"])
+    def test_non_finite_number_names_the_state_and_the_entry(self, scratch_file, field, label,
+                                                             where, bad):
+        e0, e1 = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
+        obj = {"schema_version": 1, "states": [
+            {"label": "a", "ensemble": {"weights": [0.5, 0.5], "vectors": [e0, e1]}},
+            {"label": "b", "matrix": [[[0.0, 0.0]] * 2, e1]},
+        ]}
+        if field == "matrix":
+            obj["states"][1]["matrix"][0][0] = [bad, 0.0]
+        elif field == "weights":
+            obj["states"][0]["ensemble"]["weights"][0] = bad
+        else:
+            obj["states"][0]["ensemble"]["vectors"][0][0] = [1.0, bad]
+        scratch_file.write_text(json.dumps(obj))
+        with pytest.raises(InputError) as err:
+            io.read_candidate_set(str(scratch_file))
+        assert str(err.value) == f"state '{label}': {where}: expected a finite number, got {bad!r}"
+
     @settings(max_examples=300, deadline=None)
     @given(field=st.sampled_from(["n", "dim", "kind", "provenance", "matrix"]),
            value=JSON_VALUES | SHAPED | BASE64)

@@ -23,6 +23,7 @@ from mixcomp.linalg import (
     require_hermitian,
 )
 from mixcomp.states import basis_state
+from mixcomp.subspace import support_of
 
 
 def random_hermitian(d, seed):
@@ -257,6 +258,14 @@ class TestHermitianEigen:
     def test_rejects_non_square(self):
         with pytest.raises(ShapeError):
             require_hermitian(np.ones((2, 3)))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solve", [support_of, min_eigenvalue, hermitian_eigen],
+                             ids=["support_of", "min_eigenvalue", "hermitian_eigen"])
+    def test_refuses_a_matrix_that_overflows_when_symmetrized(self, solve):
+        # finite and Hermitian, but A + A^dagger is not: no empty support or NaN spectrum
+        with pytest.raises(ShapeError, match="entries overflow a double when symmetrized$"):
+            solve(np.diag([1.7e308, -1.7e308]))
 
 
 class TestHermResidual:

@@ -82,6 +82,16 @@ class TestFromEnsemble:
         with pytest.raises(ShapeError):
             from_ensemble([1.0], [basis_state(2, 0), basis_state(2, 1)])
 
+    @pytest.mark.parametrize("weights", [[np.nan], [0.5, np.nan]], ids=["alone", "second"])
+    def test_rejects_a_nan_weight_at_the_weights(self, weights):
+        vectors = [basis_state(2, i) for i in range(len(weights))]
+        with pytest.raises(ShapeError, match="^ensemble weight nan is not a number$"):
+            from_ensemble(weights, vectors)
+
+    def test_rejects_a_nan_vector_at_its_norm(self):
+        with pytest.raises(ShapeError, match="^ensemble vector has norm nan, expected 1$"):
+            from_ensemble([1.0], [np.array([np.nan, 0.0])])
+
 
 def test_maximally_mixed_has_full_support():
     rho = maximally_mixed(3)
@@ -146,6 +156,12 @@ class TestCandidateSet:
         states = [random_density(2, 1, 0), random_density(2, 1, 1)]
         with pytest.raises(CandidateSetError):
             CandidateSet(labels=("a",), states=tuple(states))
+
+    def test_rejects_raw_matrices(self):
+        with pytest.raises(CandidateSetError) as err:
+            CandidateSet(("a", "b"), (np.eye(2) / 2, np.diag([1.0, 0.0])))
+        assert str(err.value) == ("state 'a' is not a DensityMatrix (got ndarray); "
+                                  "build the set with candidate_set(...)")
 
     def test_default_labels(self):
         cs = candidate_set([random_density(2, 1, 0), random_density(2, 1, 1)])

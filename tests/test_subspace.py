@@ -44,6 +44,10 @@ class TestSubspaceType:
         with pytest.raises(ShapeError):
             Subspace(np.ones(3))
 
+    def test_rejects_a_nan_basis(self):
+        with pytest.raises(ShapeError, match="not orthonormal"):
+            Subspace(np.full((2, 1), np.nan))
+
     def test_basis_is_read_only(self):
         s = Subspace.full(2)
         with pytest.raises(ValueError):
