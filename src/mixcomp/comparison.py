@@ -64,6 +64,7 @@ from .errors import (
 from .linalg import (
     Tolerances,
     _hermitian_part,
+    _kron_each,
     _mgs_span,
     _require_finite,
     dagger,
@@ -671,12 +672,9 @@ def _tuple_span(tuples, supports, threshold, full_dim, offered):
     columns. It stops once the basis is full; a tuple with an empty factor
     adds nothing.
     """
-    blocks = (
-        kron_all(factors)
-        for factors in ([supports[c].basis for c in combo] for combo in tuples)
-        if all(f.shape[1] for f in factors)
-    )
-    return _mgs_span(blocks, threshold, full_dim, min(full_dim, offered))
+    bases = [s.basis for s in supports]
+    kept = (combo for combo in tuples if all(bases[c].shape[1] for c in combo))
+    return _mgs_span(_kron_each(bases, kept), threshold, full_dim, min(full_dim, offered))
 
 
 def _offered_columns(n, supports, which):

@@ -113,6 +113,26 @@ def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(kron, factors[1:], np.asarray(factors[0], dtype=np.complex128))
 
 
+def _kron_each(factors: Sequence[np.ndarray], tuples: Iterable[Sequence[int]]):
+    """Yield ``kron_all([factors[i] for i in t])`` for each tuple t, None for an empty one.
+
+    One product is kept per depth. A tuple rebuilds only from its first
+    index that differs from the previous tuple's, left to right with
+    ``kron`` as kron_all does: the bits are kron_all's, and tuples in
+    lexicographic order share their leading products.
+    """
+    stack: list[tuple[int, np.ndarray]] = []  # (index, product) per depth
+    for t in tuples:
+        keep = 0
+        while keep < min(len(t), len(stack)) and stack[keep][0] == t[keep]:
+            keep += 1
+        del stack[keep:]
+        for i in t[keep:]:
+            f = factors[i]
+            stack.append((i, kron(stack[-1][1], f) if stack else np.asarray(f, dtype=np.complex128)))
+        yield stack[-1][1] if stack else None
+
+
 def hermitian_eigen(a, tol: Tolerances = Tolerances(),
                     context: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .linalg import Tolerances, dagger, hermitian_eigen, orthonormal_columns
+from .linalg import Tolerances, _require_finite, dagger, hermitian_eigen, orthonormal_columns
 from .states import DensityMatrix
 
 
@@ -33,6 +33,7 @@ class Subspace:
         b = np.asarray(self.basis, dtype=np.complex128)
         if b.ndim != 2:
             raise ShapeError(f"basis must be a (d, r) array, got shape {b.shape}")
+        _require_finite(b, "basis contains NaN or Inf entries")
         gram = dagger(b) @ b
         if b.shape[1] and not float(np.max(np.abs(gram - np.eye(b.shape[1])))) <= 1e-8:
             raise ShapeError("basis columns are not orthonormal")

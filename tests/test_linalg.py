@@ -11,6 +11,7 @@ from mixcomp.comparison import MeasurementOperator, Provenance, check_conditions
 from mixcomp.errors import NotHermitianError, ShapeError
 from mixcomp.linalg import (
     Tolerances,
+    _kron_each,
     _mgs_span,
     dagger,
     herm_residual,
@@ -132,6 +133,21 @@ class TestKronBits:
         integers = [np.arange(4).reshape(2, 2) + i for i in range(count)]
         expected = functools.reduce(np.kron, [f.astype(complex) for f in integers])
         assert same_bits(kron_all(integers), expected)
+
+    @given(st.lists(st.lists(st.integers(0, 2), max_size=4), max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_kron_each_matches_kron_all_per_tuple(self, tuples):
+        # shared prefixes in any order, repeats, prefixes of the previous
+        # tuple, empty tuples and an empty factor
+        factors = [random_matrix(2, 60).T, np.linalg.qr(random_matrix(3, 61))[0][:, :2],
+                   np.zeros((2, 0), dtype=complex)]
+        got = list(_kron_each(factors, tuples))
+        assert len(got) == len(tuples)
+        for t, product in zip(tuples, got):
+            if t:
+                assert same_bits(product, kron_all([factors[i] for i in t]))
+            else:
+                assert product is None
 
 
 def mgs_extend(basis, cols, threshold):

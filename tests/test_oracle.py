@@ -1,11 +1,12 @@
 import itertools
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from conftest import diagonal_set, gaussian_set
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixcomp import io, oracle
@@ -170,6 +171,25 @@ class TestOutcomeProbability:
                 expected = float(np.sum(m.matrix * state.T).real)
                 assert outcome_probability(m, t, cs) == expected
 
+    @given(d=st.integers(2, 4), k=st.integers(2, 5), n=st.integers(1, 5),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_window_values_have_the_bits_of_fresh_product_states(self, d, k, n, seed, data):
+        # the scan reads only dim, k and matrix(a) of a set, so any complex
+        # entries stand in for the states; n = 1 leaves no prefix to share
+        assume(d**n <= 256)
+        rng = np.random.default_rng(seed)
+        mats = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(k)]
+        cs = SimpleNamespace(dim=d, k=k, matrix=mats.__getitem__)
+        dim = d**n
+        m = MeasurementOperator(n=n, dim=d, provenance=Provenance.M2_MAXIMAL,
+                                matrix=rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        drawn = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * n), min_size=1, max_size=12))
+        lexicographic, repeated = sorted(set(drawn)), [t for t in drawn for _ in range(2)] + drawn
+        for window in (lexicographic, drawn, repeated):
+            got = oracle._tuple_probabilities(m, cs, window)
+            assert [p.hex() for p in got] == [fresh_probability(m, cs, t).hex() for t in window]
+
 
 class TestVerifyUnambiguous:
     def test_m1_on_orth2(self):
@@ -300,11 +320,21 @@ class TestPovmCompleteness:
 
 # ------------------------------------------------ screened scan vs. tuple loop
 
+def fresh_probability(m, cs, indices):
+    """Re Tr(M rho_t) from a freshly formed product state: sum M * S^T, S^T by kron_all."""
+    state_t = kron_all([cs.matrix(i).T for i in indices])
+    return float(np.sum(m.matrix * state_t).real)
+
+
 def loop_max(m, cs, tuples):
-    """The per-tuple scan: first strict maximum in lexicographic order."""
+    """The per-tuple scan: first strict maximum in lexicographic order.
+
+    Each value is formed here, independently of the library's scan, so the
+    exact comparisons against it check the scan's arithmetic too.
+    """
     best_p, best_t = None, None
     for tup in tuples:
-        p = outcome_probability(m, tup, cs)
+        p = fresh_probability(m, cs, tup.indices)
         if best_p is None or p > best_p:
             best_p, best_t = p, tup.indices
     return best_p, best_t
@@ -494,13 +524,13 @@ class TestScreenedScanMatchesTupleLoop:
 
     def test_confirm_touches_few_tuples(self, monkeypatch):
         calls = []
-        original = oracle.outcome_probability
+        original = oracle._tuple_probabilities
 
-        def counted(*args, **kwargs):
-            calls.append(args[1].indices)
-            return original(*args, **kwargs)
+        def counted(m, cs, tuples):
+            calls.extend(tuples)
+            return original(m, cs, tuples)
 
-        monkeypatch.setattr(oracle, "outcome_probability", counted)
+        monkeypatch.setattr(oracle, "_tuple_probabilities", counted)
         cs = gaussian_set(2, 3, 51)
         m = MeasurementOperator(n=5, dim=2, matrix=random_contraction(32, 52),
                                 provenance=Provenance.M2_MAXIMAL)

@@ -45,8 +45,14 @@ class TestSubspaceType:
             Subspace(np.ones(3))
 
     def test_rejects_a_nan_basis(self):
-        with pytest.raises(ShapeError, match="not orthonormal"):
+        with pytest.raises(ShapeError, match="basis contains NaN or Inf entries"):
             Subspace(np.full((2, 1), np.nan))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_an_infinite_basis_before_its_gram(self, value):
+        with pytest.raises(ShapeError, match="basis contains NaN or Inf entries"):
+            Subspace(np.full((2, 1), value))
 
     def test_basis_is_read_only(self):
         s = Subspace.full(2)
